@@ -1,13 +1,20 @@
-// Package cluster runs the at-scale discrete-event simulation of
-// Section 6.2.2: a rack with a bounded pool of function instances (200 in
-// the paper), a 10,000-deep FCFS queue, and a bursty arrival trace. It
-// produces the time series of Figure 13: queued functions over time and
-// wall-clock request latency for each system.
+// Package cluster holds the discrete-event simulators behind the paper's
+// at-scale results: the Section 6.2.2 rack of Figure 13 (Run: a bounded
+// pool of function instances, 200 in the paper, behind a 10,000-deep FCFS
+// queue, replaying a bursty trace), the Section 5.3 heterogeneous CPU+DSCS
+// pool (RunHybrid), and chained workflows placed by data locality
+// (RunWorkflows).
 //
-// The simulation drives the same scheduling core as the live serving path
-// (serve.PoolCore over sched's bounded queue and pluggable policies), so
-// what Figure 13 measures is literally the scheduler the gateway runs —
-// only the clock differs: virtual here, wall time there.
+// All of them drive the scheduling core the live gateway runs — only the
+// clock differs: virtual here, wall time there. One virtual-clock driver
+// (driver.go) runs every simulator over a serve.MultiCore: Figure 13 is a
+// one-pool configuration, the split hybrid an N-pool one with spill/steal
+// hooks, and the workflow replay a per-drive one whose completions unlock
+// dependent stages. The driver owns dispatch, batching, faults, hedging,
+// elastic capacity and the close-out ledgers. The one exception is
+// RunHybrid's classic shared-queue layout, which runs its own short loop
+// over serve.HybridCore: it is the only layout the Section 5.3 policy
+// table runs on.
 package cluster
 
 import (
@@ -150,69 +157,32 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	if instances <= 0 || cfg.QueueDepth <= 0 || cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: incomplete config")
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 5 * time.Second
-	}
-	for _, ev := range cfg.Faults {
-		if !ev.Kind.Pool() {
-			return nil, fmt.Errorf("cluster: the rack sim models pool faults only, got %q", ev)
-		}
-		if ev.Target != simPlatform {
-			return nil, fmt.Errorf("cluster: fault script targets unknown pool %q (the rack's one pool is %q)",
-				ev.Target, simPlatform)
-		}
-	}
-	engine := sim.NewEngine()
-	rng := sim.NewRNG(seed)
-	// The rack is a one-pool MultiCore: dispatch and coalesce flow through
-	// the N-pool core so every served request's queue delay — arrival to
+	// The rack is a one-pool driver: dispatch and coalesce flow through the
+	// N-pool core so every served request's queue delay — arrival to
 	// dispatch — lands in the same wait digests the engine and the hybrid
 	// sim record.
-	mc, err := serve.NewMultiCore([]serve.PoolSpec{{
+	d, err := newDriver([]serve.PoolSpec{{
 		Name: simPlatform, Class: sched.ClassCPU,
 		Workers: instances, QueueDepth: cfg.QueueDepth, Policy: cfg.Policy,
-	}})
+	}}, seed, cfg.EstimateWindow, cfg.EstimateWarmup, cfg.Elastic)
 	if err != nil {
 		return nil, err
-	}
-	mc.SetWaitTuning(cfg.EstimateWindow, cfg.EstimateWarmup)
-	core := mc.Pool(0)
-	// The elastic rack attaches the identical serve.Lifecycle the live
-	// engine drives with wall-clock timers — here its events are virtual.
-	var asc *scale.Autoscaler
-	if cfg.Elastic != nil {
-		initial := cfg.Elastic.Min
-		if cfg.Elastic.Mode == scale.ModeFixed {
-			initial = cfg.Elastic.Max
-		}
-		lc, err := serve.NewLifecycle(serve.LifecycleConfig{
-			Min: cfg.Elastic.Min, Max: cfg.Elastic.Max,
-			ColdStart: cfg.Elastic.ColdStart, IdleLinger: cfg.Elastic.IdleLinger,
-		}, initial, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := core.AttachLifecycle(lc, 0); err != nil {
-			return nil, err
-		}
-		if asc, err = scale.New(*cfg.Elastic, simPlatform); err != nil {
-			return nil, err
-		}
 	}
 	var obs *metrics.Observatory
 	if cfg.AdaptiveEstimates {
 		obs = metrics.NewObservatory(cfg.EstimateWindow, cfg.EstimateWarmup)
 	}
-	var former *serve.BatchFormer
-	if cfg.GlobalBatch && cfg.MaxBatch > 1 {
-		former = serve.NewBatchFormer(cfg.MaxBatch, cfg.BatchLinger, cfg.BatchSLO, sched.ClassCPU)
+	global := cfg.GlobalBatch && cfg.MaxBatch > 1
+	if global {
+		former := serve.NewBatchFormer(cfg.MaxBatch, cfg.BatchLinger, cfg.BatchSLO, sched.ClassCPU)
 		if obs != nil {
 			former.SetEstimator(func(payload string, static time.Duration) time.Duration {
 				return obs.ServiceQuantile(payload, simPlatform, static, 0.95)
 			})
 		}
-		core.AttachFormer(former)
+		d.mc.Pool(0).AttachFormer(former)
 	}
+	d.maxBatch = cfg.MaxBatch
 	st := &Stats{
 		Queue:         metrics.Series{Name: "queued"},
 		Latency:       metrics.Series{Name: "latency_ms"},
@@ -223,55 +193,26 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	var bucketSum time.Duration
 	var bucketN int
 
-	var pump func()
-	// simExec is one in-flight execution under the fault model: a pool-down
-	// cancels it — its completion event still fires but retires nothing —
-	// and requeues its tasks. Tracked only when a fault script is armed, so
-	// faultless runs stay bit-identical.
-	type simExec struct {
-		tasks           []sched.HybridTask
-		done, cancelled bool
+	d.service = func(_ int, tasks []sched.HybridTask) time.Duration {
+		return cfg.Service(tasks[0].Payload, d.rng)
 	}
-	var inflight []*simExec
-	faultsOn := len(cfg.Faults) > 0
-	// execute retires a gathered batch after one service time: the lead's
-	// sample prices the whole coalesced execution, as on the live engine.
-	execute := func(tasks []sched.HybridTask) {
-		var ex *simExec
-		if faultsOn {
-			ex = &simExec{tasks: tasks}
-			inflight = append(inflight, ex)
+	d.retire = func(_ int, tasks []sched.HybridTask, service time.Duration) {
+		st.Batches++
+		if obs != nil {
+			// The digest learns the true service time at completion — the
+			// same observe-on-complete the live engine does.
+			obs.Record(tasks[0].Payload, simPlatform, service)
 		}
-		service := cfg.Service(tasks[0].Payload, rng)
-		engine.After(service, func() {
-			if ex != nil {
-				if ex.cancelled {
-					return
-				}
-				ex.done = true
+		for _, t := range tasks {
+			lat := d.eng.Now() - t.Arrived
+			st.Completed++
+			if cfg.BatchSLO > 0 && lat <= cfg.BatchSLO {
+				st.WithinSLO++
 			}
-			core.Complete(len(tasks))
-			st.Batches++
-			if asc != nil {
-				asc.ObserveService(tasks[0].Payload, service)
-			}
-			if obs != nil {
-				// The digest learns the true service time at completion —
-				// the same observe-on-complete the live engine does.
-				obs.Record(tasks[0].Payload, simPlatform, service)
-			}
-			for _, t := range tasks {
-				lat := engine.Now() - t.Arrived
-				st.Completed++
-				if cfg.BatchSLO > 0 && lat <= cfg.BatchSLO {
-					st.WithinSLO++
-				}
-				st.LatencySample.Add(lat)
-				bucketSum += lat
-				bucketN++
-			}
-			pump()
-		})
+			st.LatencySample.Add(lat)
+			bucketSum += lat
+			bucketN++
+		}
 	}
 
 	// window is one instance's open linger window: the batch it holds and
@@ -290,12 +231,12 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 			return
 		}
 		win.fired = true
-		execute(win.batch)
+		d.execute(0, win.batch)
 	}
 	// gatherInto pulls queued same-benchmark tasks into the window and
 	// fires it when full.
 	gatherInto := func(win *window, now time.Duration) {
-		late := mc.Coalesce(0, now, win.w.Target-win.w.Size, func(t sched.HybridTask) bool {
+		late := d.mc.Coalesce(0, now, win.w.Target-win.w.Size, func(t sched.HybridTask) bool {
 			return t.Payload == win.batch[0].Payload
 		})
 		win.w.Add(len(late))
@@ -304,179 +245,57 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 			fire(win)
 		}
 	}
-
-	// lastWake dedups the former's wake events: scheduled events are never
-	// cancelled, so any instant already armed will fire and re-pump.
-	lastWake := time.Duration(-1)
-
-	// Elastic drive: fold virtual time into the lifecycle (warming slots
-	// come ready, expired lingers suspend), re-decide the autoscaler
-	// target, and arm a wake at the lifecycle's next self-transition —
-	// the virtual-clock analogue of the live engine's lifecycle timer.
-	// Decisions are rate-limited like the engine's (the digest quantile
-	// reads are not per-event work); a starved pool (backlog, no free
-	// capacity) bypasses the limit.
-	warmup := int64(cfg.EstimateWarmup)
-	if warmup <= 0 {
-		warmup = int64(metrics.DefaultWarmup)
-	}
-	const scaleInterval = 100 * time.Millisecond
-	lastLifeWake := time.Duration(-1)
-	lastDecide := time.Duration(-1)
-	advanceScale := func() {
-		if asc == nil {
-			return
-		}
-		now := engine.Now()
-		mc.AdvanceLifecycles(now)
-		starved := core.QueueLen() > 0 && core.Busy() >= core.Workers()
-		if starved || lastDecide < 0 || now-lastDecide >= scaleInterval {
-			lastDecide = now
-			var waitP95 time.Duration
-			if dg := mc.WaitDigest(0); dg != nil && dg.Count() >= warmup {
-				waitP95 = dg.Quantile(serve.WaitQuantile)
-			}
-			desired := asc.Desired(now, core.Busy(), core.QueueLen(), waitP95)
-			if desired != core.Lifecycle().Desired() {
-				core.ScaleTo(desired, now)
-			}
-		}
-		if evt, ok := mc.NextLifecycleEvent(); ok && evt != lastLifeWake {
-			lastLifeWake = evt
-			engine.At(evt, func() {
-				if lastLifeWake == evt {
-					lastLifeWake = -1
-				}
-				pump()
-			})
-		}
-	}
-	pump = func() {
-		advanceScale()
-		for {
-			now := engine.Now()
-			if former != nil {
-				// Queue-level forming: dispatch only batches the former
-				// releases; otherwise arm an event at the earliest due
-				// instant — the virtual-clock analogue of the live
-				// engine's timed worker wait.
-				task, ok, wake, wakeOK := mc.DispatchFormed(0, now)
-				if !ok {
-					if wakeOK && wake != lastWake {
-						lastWake = wake
-						engine.At(wake, func() { pump() })
-					}
-					return
-				}
-				batch := append([]sched.HybridTask{task},
-					mc.Coalesce(0, now, cfg.MaxBatch-1, func(t sched.HybridTask) bool {
-						return t.Payload == task.Payload
-					})...)
-				execute(batch)
-				continue
-			}
-			task, ok := mc.Dispatch(0, now)
-			if !ok {
-				return
-			}
-			if cfg.MaxBatch <= 1 {
-				execute([]sched.HybridTask{task})
-				continue
-			}
-			batch := append([]sched.HybridTask{task},
-				mc.Coalesce(0, now, cfg.MaxBatch-1, func(t sched.HybridTask) bool {
-					return t.Payload == task.Payload
-				})...)
+	if cfg.MaxBatch > 1 && !global {
+		// Deadline-aware linger: the instance stays busy holding the batch
+		// open until it fills or the window closes.
+		d.launch = func(_ int, batch []sched.HybridTask) {
+			now := d.eng.Now()
 			win := &window{
 				w:     serve.NewBatchWindow(now, cfg.BatchLinger, cfg.MaxBatch, len(batch)),
 				batch: batch,
 			}
 			if !win.w.Open(now) {
 				fire(win)
-				continue
+				return
 			}
-			// Deadline-aware linger: the instance stays busy holding the
-			// batch open until it fills or the window closes.
 			open = append(open, win)
-			engine.At(win.w.Deadline, func() {
+			d.eng.At(win.w.Deadline, func() {
 				if !win.fired {
-					gatherInto(win, engine.Now())
+					gatherInto(win, d.eng.Now())
 					fire(win)
 				}
 			})
 		}
-	}
-
-	// applyFault drives the scripted schedule. A pool-down browns the rack
-	// out mid-run: open linger windows and in-flight executions cancel, and
-	// their tasks return to the queue by arrival order (the at-most-once
-	// path — the submission ledger never moves, each task is still owed
-	// exactly one completion). A pool-up resumes dispatch over the
-	// preserved backlog; requeued work re-enters through the same former or
-	// window machinery it originally took.
-	applyFault := func(ev trace.FaultEvent) {
-		now := engine.Now()
-		if ev.Kind == trace.FaultPoolUp {
-			mc.RecoverPool(0, now)
-			pump()
-			return
-		}
-		if !mc.Healthy(0) {
-			return
-		}
-		mc.FailPool(0, now)
-		for _, win := range open {
-			if win.fired {
-				continue
-			}
-			win.fired = true
-			mc.Requeue(0, win.batch)
-		}
-		open = open[:0]
-		for _, ex := range inflight {
-			if ex.done || ex.cancelled {
-				continue
-			}
-			ex.cancelled = true
-			mc.Requeue(0, ex.tasks)
-			if former != nil {
-				// Requeue leaves the former untouched; re-observe the tasks
-				// at submit weight so their groups re-form.
-				for _, t := range ex.tasks {
-					former.Observe(t, 1)
+		// A brown-out requeues the open windows' batches along with the
+		// in-flight executions; requeued work re-enters through the same
+		// window machinery it originally took.
+		d.poolDown = func(int) {
+			for _, win := range open {
+				if !win.fired {
+					win.fired = true
+					d.mc.Requeue(0, win.batch)
 				}
 			}
+			open = open[:0]
 		}
-		// Every tracked execution is now done or cancelled (one pool).
-		inflight = inflight[:0]
 	}
-	for _, ev := range cfg.Faults {
-		ev := ev
-		engine.At(ev.At, func() { applyFault(ev) })
+	if err := d.armFaults(cfg.Faults); err != nil {
+		return nil, err
 	}
 
 	for _, r := range tr.Requests {
 		req := r
-		engine.At(req.At, func() {
-			if asc != nil {
-				// The rate digests see offered load — dropped arrivals
-				// still describe the demand the pool should warm for.
-				asc.ObserveArrival(req.Benchmark, engine.Now())
-			}
-			task := sched.HybridTask{ID: req.ID, Arrived: engine.Now(), Payload: req.Benchmark}
+		d.eng.At(req.At, func() {
+			task := sched.HybridTask{ID: req.ID, Arrived: d.eng.Now(), Payload: req.Benchmark}
 			if cfg.StaticEstimate != nil {
 				// The rack's single simulated pool is CPU-class, so the
 				// CPU estimate is the one the former's slack pricing reads.
 				task.CPUService = cfg.StaticEstimate(req.Benchmark)
 			}
-			admitted := mc.SubmitTo(0, task)
-			if admitted && former != nil {
-				former.Observe(task, 1)
-			}
-			if admitted && former == nil && len(open) > 0 {
+			if d.submit(0, task) && len(open) > 0 {
 				// Offer the arrival to open windows before idle instances
 				// see it — the engine's lingering workers do the same.
-				now := engine.Now()
+				now := d.eng.Now()
 				kept := open[:0]
 				for _, win := range open {
 					if !win.fired && win.w.Open(now) {
@@ -488,52 +307,36 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 				}
 				open = kept
 			}
-			pump()
+			d.pump()
 		})
 	}
 
-	// Telemetry sampler across the trace (plus drain tail).
 	horizon := tr.Duration + 2*time.Minute
-	for t := time.Duration(0); t <= horizon; t += cfg.SampleEvery {
-		at := t
-		engine.At(at, func() {
-			st.Queue.Add(at, float64(core.QueueLen()))
-			if bucketN > 0 {
-				st.Latency.Add(at, float64(bucketSum.Milliseconds())/float64(bucketN))
-				bucketSum, bucketN = 0, 0
-			}
-		})
-	}
+	sampleQueue(d.eng, horizon, cfg.SampleEvery, func(at time.Duration) {
+		st.Queue.Add(at, float64(d.mc.QueueLen()))
+		if bucketN > 0 {
+			st.Latency.Add(at, float64(bucketSum.Milliseconds())/float64(bucketN))
+			bucketSum, bucketN = 0, 0
+		}
+	})
 
-	engine.Run()
-	st.Dropped = mc.Dropped()
-	if former != nil {
-		st.Formed = former.Formed()
-	}
-	if dg := mc.WaitDigest(0); dg != nil {
-		st.WaitP50 = dg.Quantile(0.50)
-		st.WaitP95 = dg.Quantile(0.95)
-		st.WaitP99 = dg.Quantile(0.99)
-	}
-	if lc := core.Lifecycle(); lc != nil {
-		// Close the idle integral at the common horizon so every mode's
-		// cost covers the same span, drain tail included.
-		core.AdvanceLifecycle(horizon)
-		st.ColdStarts = lc.ColdStarts()
-		st.Suspends = lc.Suspends()
-		st.IdleCost = lc.IdleCost()
-	}
-	st.Faults = mc.Faults()
-	st.Requeued = mc.Requeued()
-	st.Stranded = mc.QueueLen()
-	if err := mc.Conservation(); err != nil {
+	d.eng.Run()
+	st.Dropped = d.mc.Dropped()
+	st.Formed = d.formed()
+	st.WaitP50 = d.mc.WaitQuantileOf(0, 0.50)
+	st.WaitP95 = d.mc.WaitQuantileOf(0, 0.95)
+	st.WaitP99 = d.mc.WaitQuantileOf(0, 0.99)
+	st.ColdStarts, st.Suspends, st.IdleCost = d.lifecycleTotals(horizon)
+	st.Faults = d.mc.Faults()
+	st.Requeued = d.mc.Requeued()
+	st.Stranded = d.mc.QueueLen()
+	if err := d.mc.Conservation(); err != nil {
 		return nil, err
 	}
-	if st.Completed+st.Dropped+st.Stranded != len(tr.Requests) {
-		return nil, fmt.Errorf("cluster: lost requests: %d completed + %d dropped + %d stranded != %d arrived",
-			st.Completed, st.Dropped, st.Stranded, len(tr.Requests))
+	if err := ledger("request", st.Completed, st.Dropped, st.Stranded, len(tr.Requests)); err != nil {
+		return nil, err
 	}
-	if st.Stranded > 0 && !faultsOn {
+	if st.Stranded > 0 && len(cfg.Faults) == 0 {
 		return nil, fmt.Errorf("cluster: %d requests stranded without a fault script", st.Stranded)
 	}
 	return st, nil

@@ -1,16 +1,15 @@
 // workflow.go replays workflow traces — invocation DAGs whose stage
-// outputs become stage inputs as object-store objects — against the same
-// serve core the request sims drive. Each DSCS drive fronts its own pool
-// (the in-storage DSA is the drive's compute), an optional CPU tier
-// mirrors the hybrid rack, and a real objstore.Store holds every
-// inter-stage object, so placement decisions read the actual replica map:
-// a stage scheduled on the drive holding its input reads through the
-// drive's internal path; any other placement pays the fabric. One entry
-// point covers both evaluation shapes — CPUInstances=0 is the
-// drives-only rack of the Figure 13 regime, CPUInstances>0 the CPU+DSCS
-// split of Figure 14 — and a Locality toggle swaps the placement policy
-// between the replica-map-aware placer and a blind rotation, which is the
-// comparison the locality goldens pin.
+// outputs become stage inputs as object-store objects — on the driver.
+// Each DSCS drive fronts its own pool (the in-storage DSA is the drive's
+// compute), an optional CPU tier mirrors the hybrid rack, and a real
+// objstore.Store holds every inter-stage object, so placement reads the
+// actual replica map: a stage on the drive holding its input reads through
+// the drive's internal path; any other placement pays the fabric.
+// CPUInstances=0 is the drives-only rack of the Figure 13 regime,
+// CPUInstances>0 the CPU+DSCS split of Figure 14, and Locality swaps the
+// replica-map-aware placer for a blind rotation — the comparison the
+// locality goldens pin.
+
 package cluster
 
 import (
@@ -153,9 +152,6 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	if cfg.Drives <= 0 || cfg.WorkersPerDrive <= 0 || cfg.QueueDepth <= 0 || cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: incomplete workflow config")
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 5 * time.Second
-	}
 
 	// Pools: one per drive, plus the optional CPU tier.
 	specs := make([]serve.PoolSpec, 0, cfg.Drives+1)
@@ -173,36 +169,23 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			Policy: sched.DAGAwarePolicy{},
 		})
 	}
-	mc, err := serve.NewMultiCore(specs)
-	if err != nil {
-		return nil, err
-	}
-	pools := mc.Pools()
-	poolOf := make(map[string]int, pools)
-	for i := 0; i < pools; i++ {
-		poolOf[specs[i].Name] = i
-	}
-	for _, ev := range cfg.Faults {
-		if _, ok := poolOf[ev.Target]; !ok || (!ev.Kind.Pool() && ev.Target == cpuPool) {
-			return nil, fmt.Errorf("cluster: workflow fault targets unknown %s %q",
-				map[bool]string{true: "pool", false: "drive"}[ev.Kind.Pool()], ev.Target)
-		}
-	}
-
 	store, err := workflowStore(cfg.Drives, seed+1)
 	if err != nil {
 		return nil, err
 	}
-	engine := sim.NewEngine()
-	rng := sim.NewRNG(seed)
+	d, err := newDriver(specs, seed, 0, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	mc := d.mc
+	pools := mc.Pools()
 
 	// Inter-stage batching: a queue-level former per pool, so parallel
 	// fan-out shards landing together release as one execution.
-	formers := make([]*serve.BatchFormer, pools)
+	d.maxBatch = cfg.MaxBatch
 	if cfg.MaxBatch > 1 {
 		for i := 0; i < pools; i++ {
-			formers[i] = serve.NewBatchFormer(cfg.MaxBatch, cfg.BatchLinger, cfg.BatchSLO, specs[i].Class)
-			mc.Pool(i).AttachFormer(formers[i])
+			mc.Pool(i).AttachFormer(serve.NewBatchFormer(cfg.MaxBatch, cfg.BatchLinger, cfg.BatchSLO, specs[i].Class))
 		}
 	}
 
@@ -214,10 +197,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			if !ok {
 				return -1
 			}
-			if p, ok := poolOf[node.ID]; ok {
-				return p
-			}
-			return -1
+			return mc.Index(node.ID)
 		},
 		Healthy: mc.Healthy,
 		Idle:    mc.Idle,
@@ -250,11 +230,9 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		}
 	}
 
-	var pump func()
 	nextTaskID := 0
-	var submitStage func(ws *wfState, idx int)
-	submitStage = func(ws *wfState, idx int) {
-		now := engine.Now()
+	submitStage := func(ws *wfState, idx int) {
+		now := d.eng.Now()
 		stage := ws.run.Stage(idx)
 		ref := &wfStageRef{ws: ws, idx: idx, bench: workload.BySlug(stage.Benchmark)}
 		inputs := ws.run.InputKeys(idx)
@@ -283,20 +261,14 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		local := false
 		for _, key := range inputs {
 			obj, ok := store.Lookup(key)
-			home := -1
-			if ok {
-				if node, _, hOK := store.DSCSReplicaHealthy(key); hOK {
-					home = poolOf[node.ID]
-				}
-			}
-			if ok && home == pool {
+			if ok && placer.Home(key) == pool {
 				st.LocalBytes += obj.Size
 				if key == domKey {
 					local = true
 				}
 				continue
 			}
-			d, _, err := store.GetWithFailover(key, 0.5)
+			fetch, _, err := store.GetWithFailover(key, 0.5)
 			if err != nil {
 				// No healthy replica anywhere: the stage can never
 				// assemble its input, so it strands (and cascades).
@@ -305,7 +277,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 				noteSettled(ws)
 				return
 			}
-			ref.fetch += d
+			ref.fetch += fetch
 			if ok {
 				st.FabricBytes += obj.Size
 			}
@@ -322,24 +294,20 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			AccelFuncs: accel, Ref: ref,
 		}
 		nextTaskID++
-		if !mc.SubmitTo(pool, task) {
+		if !d.submit(pool, task) {
 			st.StagesDropped++
 			st.StagesStranded += ws.run.Drop(idx, now)
 			noteSettled(ws)
-			return
-		}
-		if formers[pool] != nil {
-			formers[pool].Observe(task, 1)
 		}
 	}
 
 	// unlock submits a newly unlocked stage, honoring its offset floor.
 	unlock := func(ws *wfState, idx int) {
 		at := ws.run.UnlockedAt(idx)
-		if at > engine.Now() {
-			engine.At(at, func() {
+		if at > d.eng.Now() {
+			d.eng.At(at, func() {
 				submitStage(ws, idx)
-				pump()
+				d.pump()
 			})
 			return
 		}
@@ -349,8 +317,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	// settleComplete retires one stage after its output object landed and
 	// feeds the unlock path.
 	settleComplete := func(ref *wfStageRef) {
-		now := engine.Now()
-		unlocked := ref.ws.run.Complete(ref.idx, now)
+		unlocked := ref.ws.run.Complete(ref.idx, d.eng.Now())
 		st.StagesCompleted++
 		for _, j := range unlocked {
 			unlock(ref.ws, j)
@@ -358,137 +325,49 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		noteSettled(ref.ws)
 	}
 
-	// In-flight executions, tracked per pool for the fault model.
-	type wfExec struct {
-		tasks           []sched.HybridTask
-		done, cancelled bool
-	}
-	inflight := make([][]*wfExec, pools)
-	faultsOn := len(cfg.Faults) > 0
-
-	execute := func(pool int, tasks []sched.HybridTask) {
-		var ex *wfExec
-		if faultsOn {
-			ex = &wfExec{tasks: tasks}
-			inflight[pool] = append(inflight[pool], ex)
-		}
+	d.service = func(pool int, tasks []sched.HybridTask) time.Duration {
 		base := tasks[0].CPUService
 		if specs[pool].Class == sched.ClassDSCS {
 			base = tasks[0].DSCSService
 		}
 		if cfg.Jitter > 0 {
-			base = sim.LogNormal{Median: base, Sigma: cfg.Jitter}.Sample(rng)
+			base = sim.LogNormal{Median: base, Sigma: cfg.Jitter}.Sample(d.rng)
 		}
 		// The batch shares one execution (that is the point of batching);
 		// each member's remote-input fetches serialize on top of it.
-		service := base
 		for _, t := range tasks {
-			service += t.Ref.(*wfStageRef).fetch
+			base += t.Ref.(*wfStageRef).fetch
 		}
-		engine.After(service, func() {
-			if ex != nil {
-				if ex.cancelled {
-					return
-				}
-				ex.done = true
-			}
-			mc.Complete(pool, len(tasks))
-			st.Batches++
-			for _, t := range tasks {
-				ref := t.Ref.(*wfStageRef)
-				// The completed stage writes its output object — the
-				// replica map now says where its dependents belong. The
-				// q=0.5 write draws no RNG.
-				putD, _, err := store.PutAt(ref.ws.run.OutputKey(ref.idx),
-					ref.bench.IntermediateBytes, true, 0.5)
-				if err != nil {
-					putD = 0
-				}
-				engine.After(putD, func() { settleComplete(ref); pump() })
-			}
-			pump()
-		})
+		return base
 	}
-
-	lastWake := make([]time.Duration, pools)
-	for i := range lastWake {
-		lastWake[i] = -1
-	}
-	pump = func() {
-		for i := 0; i < pools; i++ {
-			for {
-				now := engine.Now()
-				var task sched.HybridTask
-				var ok bool
-				if formers[i] != nil {
-					var wake time.Duration
-					var wakeOK bool
-					task, ok, wake, wakeOK = mc.DispatchFormed(i, now)
-					if !ok {
-						if wakeOK && wake != lastWake[i] {
-							lastWake[i] = wake
-							engine.At(wake, func() { pump() })
-						}
-						break
-					}
-				} else if task, ok = mc.Dispatch(i, now); !ok {
-					break
-				}
-				batch := []sched.HybridTask{task}
-				if cfg.MaxBatch > 1 {
-					batch = append(batch, mc.Coalesce(i, now, cfg.MaxBatch-1,
-						func(t sched.HybridTask) bool { return t.Payload == task.Payload })...)
-				}
-				execute(i, batch)
+	d.retire = func(_ int, tasks []sched.HybridTask, _ time.Duration) {
+		st.Batches++
+		for _, t := range tasks {
+			ref := t.Ref.(*wfStageRef)
+			// The completed stage writes its output object — the replica
+			// map now says where its dependents belong. The q=0.5 write
+			// draws no RNG.
+			putD, _, err := store.PutAt(ref.ws.run.OutputKey(ref.idx),
+				ref.bench.IntermediateBytes, true, 0.5)
+			if err != nil {
+				putD = 0
 			}
+			d.eng.After(putD, func() { settleComplete(ref); d.pump() })
 		}
 	}
-
-	// applyFault mirrors the request sims: a pool kill cancels its open
-	// executions and requeues their tasks at-most-once (stage age and the
-	// submission ledger never move); a drive event reshapes the replica
-	// map under the locality placer's feet.
-	applyFault := func(ev trace.FaultEvent) {
-		now := engine.Now()
-		st.Faults++
-		if !ev.Kind.Pool() {
-			if ev.Kind == trace.FaultDriveDown {
-				if store.FailNode(ev.Target) == nil {
-					store.ReReplicate(ev.Target)
-				}
-			} else {
-				store.RecoverNode(ev.Target)
+	// Pool events stop a pool's workers (its queue survives); drive events
+	// reshape the replica map under the locality placer's feet.
+	d.driveFault = func(ev trace.FaultEvent) {
+		if ev.Kind == trace.FaultDriveDown {
+			if store.FailNode(ev.Target) == nil {
+				store.ReReplicate(ev.Target)
 			}
-			return
+		} else {
+			store.RecoverNode(ev.Target)
 		}
-		pool := poolOf[ev.Target]
-		if ev.Kind == trace.FaultPoolUp {
-			mc.RecoverPool(pool, now)
-			pump()
-			return
-		}
-		if !mc.Healthy(pool) {
-			return
-		}
-		mc.FailPool(pool, now)
-		for _, ex := range inflight[pool] {
-			if ex.done || ex.cancelled {
-				continue
-			}
-			ex.cancelled = true
-			mc.Requeue(pool, ex.tasks)
-			st.Requeued += len(ex.tasks)
-			if formers[pool] != nil {
-				for _, t := range ex.tasks {
-					formers[pool].Observe(t, 1)
-				}
-			}
-		}
-		inflight[pool] = inflight[pool][:0]
 	}
-	for _, ev := range cfg.Faults {
-		ev := ev
-		engine.At(ev.At, func() { applyFault(ev) })
+	if err := d.armFaults(cfg.Faults); err != nil {
+		return nil, err
 	}
 
 	// Admit the trace: each arrival seeds its root input objects (the
@@ -508,7 +387,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		}
 		ws := &wfState{run: run}
 		states = append(states, ws)
-		engine.At(w.At, func() {
+		d.eng.At(w.At, func() {
 			for _, i := range ws.run.Spec().Roots() {
 				b := workload.BySlug(ws.run.Stage(i).Benchmark)
 				if _, _, err := store.PutAt(workflow.InputKey(ws.run.ID(), ws.run.Stage(i).ID),
@@ -516,27 +395,24 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 					admitErr = err
 				}
 			}
-			for _, i := range ws.run.Start(engine.Now()) {
+			for _, i := range ws.run.Start(d.eng.Now()) {
 				unlock(ws, i)
 			}
-			pump()
+			d.pump()
 		})
 	}
+	sampleQueue(d.eng, wtr.Duration+2*time.Minute, cfg.SampleEvery, func(at time.Duration) {
+		st.Queue.Add(at, float64(mc.QueueLen()))
+	})
 
-	horizon := wtr.Duration + 2*time.Minute
-	for t := time.Duration(0); t <= horizon; t += cfg.SampleEvery {
-		at := t
-		engine.At(at, func() { st.Queue.Add(at, float64(mc.QueueLen())) })
-	}
-
-	engine.Run()
+	d.eng.Run()
 	if admitErr != nil {
 		return nil, admitErr
 	}
 
 	// Close out: whatever the horizon cut off strands, then the ledgers
 	// must balance — per workflow and across the pool set.
-	now := engine.Now()
+	now := d.eng.Now()
 	for _, ws := range states {
 		st.StagesStranded += ws.run.StrandRemaining(now)
 		noteSettled(ws)
@@ -547,18 +423,15 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			return nil, fmt.Errorf("cluster: workflow %d never settled", ws.run.ID())
 		}
 	}
-	if got := st.StagesCompleted + st.StagesDropped + st.StagesStranded; got != st.Stages {
-		return nil, fmt.Errorf("cluster: workflow stage ledger leaks: %d completed + %d dropped + %d stranded != %d admitted",
-			st.StagesCompleted, st.StagesDropped, st.StagesStranded, st.Stages)
+	if err := ledger("workflow stage", st.StagesCompleted, st.StagesDropped, st.StagesStranded, st.Stages); err != nil {
+		return nil, err
 	}
 	if err := mc.Conservation(); err != nil {
 		return nil, err
 	}
-	for i := 0; i < pools; i++ {
-		if formers[i] != nil {
-			st.Formed += formers[i].Formed()
-		}
-	}
+	st.Formed = d.formed()
+	st.Faults = d.applied
+	st.Requeued = mc.Requeued()
 	st.MakespanP50 = st.MakespanSample.Percentile(0.50)
 	st.MakespanP95 = st.MakespanSample.Percentile(0.95)
 	return st, nil

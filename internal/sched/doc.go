@@ -25,8 +25,7 @@
 // restores, so the bound follows them between queues.
 //
 // Telemetry is a threadsafe counter/gauge registry rendered in exposition
-// format by the gateway's /metrics. FCFS is the original single-class
-// scheduler kept for the early experiments.
+// format by the gateway's /metrics.
 //
 // The queue operations and policies are pinned by FuzzHybridQueueOps and
 // the property harness in internal/serve; the invariants are documented in

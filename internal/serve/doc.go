@@ -34,9 +34,10 @@
 // serve_queue_delay_{p50,p95,p99} gauges), and work moves once the donor
 // pool's adopted wait-p95 has diverged above the target's past the
 // metrics adoption hysteresis (Digest.Adopt's bands over one
-// metrics.Latch per pool pair). MultiCore generalizes the
-// two-class HybridCore to N pools so multiple same-class platforms
-// rebalance with the same logic.
+// metrics.Latch per pool pair). MultiCore holds per-pool backlogs for
+// any number of pools, so multiple same-class platforms rebalance with the
+// same logic; HybridCore is the classic layout where both classes drain
+// one shared queue.
 //
 // Scheduling decisions are priced by per-benchmark service estimates:
 // static graph-derived priors by default, blended toward live latency

@@ -356,90 +356,92 @@ func TestAdaptiveFormerPropertyHarness(t *testing.T) {
 	checkSequences(t, 3000, 5, run)
 }
 
-// TestHybridStealPropertyHarness model-checks the split two-class core
-// with rebalancing steals mixed into the schedule: conservation across the
-// class pair, per-class worker bounds, no duplicated dispatch even when
-// tasks migrate between backlogs, and the starvation bound on whichever
-// backlog served the dispatch.
+// TestHybridStealPropertyHarness model-checks the split two-class layout —
+// a CPU and a DSCS pool on one MultiCore — with rebalancing steals mixed
+// into the schedule: conservation across the pool pair, per-pool worker
+// bounds, no duplicated dispatch even when tasks migrate between backlogs,
+// and the starvation bound on whichever backlog served the dispatch.
 func TestHybridStealPropertyHarness(t *testing.T) {
-	classes := []sched.InstanceClass{sched.ClassCPU, sched.ClassDSCS}
+	classes := []sched.InstanceClass{sched.ClassCPU, sched.ClassDSCS} // pool index = class slot
+	const cpu, dscs = 0, 1
 	run := func(ops []propOp) error {
-		h, err := NewSplitHybridCore(2, 2, 8, sched.CriticalityPolicy{})
+		m, err := NewMultiCore([]PoolSpec{
+			{Name: "cpu", Class: sched.ClassCPU, Workers: 2, QueueDepth: 8, Policy: sched.CriticalityPolicy{}},
+			{Name: "dscs", Class: sched.ClassDSCS, Workers: 2, QueueDepth: 8, Policy: sched.CriticalityPolicy{}},
+		})
 		if err != nil {
 			return err
 		}
 		now := time.Duration(0)
 		nextID := 0
 		dispatched := map[int]bool{}
-		execs := map[sched.InstanceClass][]int{}
+		execs := make([][]int, len(classes))
 		for _, op := range ops {
 			now += time.Duration(1+op.b%8) * time.Millisecond
 			switch op.kind {
 			case 0: // submit, biased toward the DSCS backlog
-				class := sched.ClassDSCS
+				pool := dscs
 				if op.a%4 == 0 {
-					class = sched.ClassCPU
+					pool = cpu
 				}
-				h.SubmitTo(class, propTask(nextID, now, op.a))
+				m.SubmitTo(pool, propTask(nextID, now, op.a))
 				nextID++
 			case 1: // dispatch (DSCS preferred, like the sim pump)
-				dscsHead, hadDSCS := h.Class(sched.ClassDSCS).queue.Head()
-				cpuHead, hadCPU := h.Class(sched.ClassCPU).queue.Head()
-				got, class, ok := h.Dispatch(now)
+				dscsHead, hadDSCS := m.Pool(dscs).queue.Head()
+				cpuHead, hadCPU := m.Pool(cpu).queue.Head()
+				pool, head, hadHead := dscs, dscsHead, hadDSCS
+				got, ok := m.Dispatch(dscs, now)
 				if !ok {
-					break
+					pool, head, hadHead = cpu, cpuHead, hadCPU
+					if got, ok = m.Dispatch(cpu, now); !ok {
+						break
+					}
 				}
 				if dispatched[got.ID] {
 					return fmt.Errorf("task %d dispatched twice", got.ID)
 				}
 				dispatched[got.ID] = true
-				head, hadHead := cpuHead, hadCPU
-				if class == sched.ClassDSCS {
-					head, hadHead = dscsHead, hadDSCS
-				}
-				if err := agedPassedOver(head, hadHead, got, class, now); err != nil {
+				if err := agedPassedOver(head, hadHead, got, classes[pool], now); err != nil {
 					return err
 				}
-				execs[class] = append(execs[class], 1)
-			case 2: // coalesce onto the class's latest execution
-				class := classes[op.b%2]
-				if len(execs[class]) == 0 {
+				execs[pool] = append(execs[pool], 1)
+			case 2: // coalesce onto the pool's latest execution
+				pool := op.b % 2
+				if len(execs[pool]) == 0 {
 					break
 				}
 				payload := string(rune('a' + op.a%3))
-				taken := h.Class(class).Coalesce(1+op.a%4, func(x sched.HybridTask) bool { return x.Payload == payload })
+				taken := m.Coalesce(pool, now, 1+op.a%4, func(x sched.HybridTask) bool { return x.Payload == payload })
 				for _, tk := range taken {
 					if dispatched[tk.ID] {
 						return fmt.Errorf("task %d coalesced after dispatch", tk.ID)
 					}
 					dispatched[tk.ID] = true
 				}
-				execs[class][len(execs[class])-1] += len(taken)
-			case 3: // complete a random execution of a random class
-				class := classes[op.b%2]
-				if len(execs[class]) == 0 {
+				execs[pool][len(execs[pool])-1] += len(taken)
+			case 3: // complete a random execution of a random pool
+				pool := op.b % 2
+				if len(execs[pool]) == 0 {
 					break
 				}
-				i := op.a % len(execs[class])
-				h.Complete(class, execs[class][i])
-				execs[class] = append(execs[class][:i], execs[class][i+1:]...)
+				i := op.a % len(execs[pool])
+				m.Complete(pool, execs[pool][i])
+				execs[pool] = append(execs[pool][:i], execs[pool][i+1:]...)
 			case 4: // advance
 				now += time.Duration(op.a%2000) * time.Millisecond
 			case 5: // steal in a random direction
-				from := classes[op.b%2]
-				to := classes[(op.b+1)%2]
-				moved := h.Steal(from, to, 1+op.a%4)
-				for _, tk := range moved {
+				from, to := op.b%2, (op.b+1)%2
+				for _, tk := range m.Steal(from, to, 1+op.a%4) {
 					if dispatched[tk.ID] {
 						return fmt.Errorf("task %d stolen after dispatch", tk.ID)
 					}
 				}
 			}
-			if err := h.Conservation(); err != nil {
+			if err := m.Conservation(); err != nil {
 				return err
 			}
-			for _, class := range classes {
-				pc := h.Class(class)
+			for pool, class := range classes {
+				pc := m.Pool(pool)
 				if pc.Busy() < 0 || pc.Busy() > pc.Workers() {
 					return fmt.Errorf("%s busy %d outside [0, %d]", class, pc.Busy(), pc.Workers())
 				}
