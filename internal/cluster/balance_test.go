@@ -181,3 +181,52 @@ func TestFig13WaitStats(t *testing.T) {
 			st.WaitP50, st.WaitP95, st.WaitP99)
 	}
 }
+
+// TestStaticSpillSkipsDeadCPUPool pins the static spill's health check:
+// with cpu0 killed mid-run, arrivals spilled past the depth threshold must
+// land on the surviving cpu1, never on the dead pool. With stealing off
+// nothing drains cpu0 after its death, so what strands there is exactly
+// what it held at the fault (its requeued in-flight work plus its queue).
+// Replaying only the arrivals before the fault reproduces that state, so
+// any arrival spilled into the grave afterwards shows up as extra
+// stranded work in the full run.
+func TestStaticSpillSkipsDeadCPUPool(t *testing.T) {
+	const fault = 10 * time.Second
+	evs, err := trace.ParseFaultScript("10s:pool-down:cpu0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := balanceConfig()
+	cfg.CPUPools = 2
+	cfg.SpilloverThreshold, cfg.StealThreshold = 150, 0
+	cfg.Faults = evs
+	tr := onesidedTrace(t)
+	st, err := RunHybrid(tr, cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := *tr
+	before.Requests = nil
+	for _, r := range tr.Requests {
+		if r.At < fault {
+			before.Requests = append(before.Requests, r)
+		}
+	}
+	atFault, err := RunHybrid(&before, cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Faults != 1 || st.Requeued == 0 {
+		t.Fatalf("faults/requeued = %d/%d, want cpu0 to die with work in flight", st.Faults, st.Requeued)
+	}
+	if st.Stranded != atFault.Stranded {
+		t.Errorf("stranded %d, but cpu0 held only %d at its fault: arrivals were admitted to the dead pool",
+			st.Stranded, atFault.Stranded)
+	}
+	if st.Stranded != 15 || st.Requeued != 14 {
+		t.Errorf("stranded/requeued = %d/%d, pinned 15/14", st.Stranded, st.Requeued)
+	}
+	if st.Served["cpu1"] == 0 {
+		t.Error("spilled arrivals never reached the surviving cpu1")
+	}
+}

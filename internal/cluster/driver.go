@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"dscs/internal/metrics"
 	"dscs/internal/scale"
 	"dscs/internal/sched"
 	"dscs/internal/serve"
@@ -82,7 +81,6 @@ type driver struct {
 	// ascs holds each elastic pool's autoscaler (nil entries for pools
 	// built without workers; nil slice when capacity is fixed).
 	ascs                     []*scale.Autoscaler
-	warmup                   int64
 	lastLifeWake, lastDecide time.Duration
 }
 
@@ -98,12 +96,9 @@ func newDriver(specs []serve.PoolSpec, seed uint64, window, warmup int, elastic 
 	mc.SetWaitTuning(window, warmup)
 	d := &driver{
 		eng: sim.NewEngine(), mc: mc, rng: sim.NewRNG(seed),
-		lastWake:   make([]time.Duration, len(specs)),
-		executions: make([]int, len(specs)),
-		warmup:     int64(warmup), lastLifeWake: -1, lastDecide: -1,
-	}
-	if d.warmup <= 0 {
-		d.warmup = metrics.DefaultWarmup
+		lastWake:     make([]time.Duration, len(specs)),
+		executions:   make([]int, len(specs)),
+		lastLifeWake: -1, lastDecide: -1,
 	}
 	for i := range specs {
 		d.order = append(d.order, i)
@@ -390,11 +385,7 @@ func (d *driver) advanceScale() {
 				continue
 			}
 			p := d.mc.Pool(i)
-			var waitP95 time.Duration
-			if dg := d.mc.WaitDigest(i); dg != nil && dg.Count() >= d.warmup {
-				waitP95 = dg.Quantile(serve.WaitQuantile)
-			}
-			if desired := a.Desired(now, p.Busy(), p.QueueLen(), waitP95); desired != p.Lifecycle().Desired() {
+			if desired := a.Desired(now, p.Busy(), p.QueueLen(), d.mc.WarmedWait(i)); desired != p.Lifecycle().Desired() {
 				p.ScaleTo(desired, now)
 			}
 		}

@@ -210,9 +210,8 @@ func TestSimDriverFingerprints(t *testing.T) {
 	// The fault arm runs a denser trace so pool kills catch executions in
 	// flight: each pool (drive0..3, and cpu every fifth kill) browns out for
 	// 1.5s every 3s, while drive1 is lost for the first 90s so placement
-	// routes around it. The drive dies before any object exists: repairing
-	// a populated drive walks the store's object map in random order, which
-	// would make the replica offsets — and the fingerprint — vary per run.
+	// routes around it. The drive dies before any object exists; losing
+	// populated drives is TestWorkflowDriveLossRepeatable's case.
 	denseFlows, err := trace.GenerateWorkflows(trace.WorkflowConfig{
 		Duration: 2 * time.Minute, Rate: 3, ETLShare: 0.5, FanOut: 4,
 	}, workload.Suite(), sim.NewRNG(17))

@@ -349,6 +349,10 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 		return nil, err
 	}
 	mc := d.mc
+	if err := mc.SetBalance(serve.Balance{Adaptive: cfg.AdaptiveBalance,
+		Spill: cfg.SpilloverThreshold, Steal: cfg.StealThreshold}); err != nil {
+		return nil, err
+	}
 	// Dispatch drains the DSCS backlog first (it serves faster), then the
 	// CPU pools in order — the same preference HybridCore.Dispatch applies.
 	d.order = append([]int{dscsIdx}, d.order[:dscsIdx]...)
@@ -366,7 +370,7 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 		st.observeLatency(d.eng.Now()-tasks[0].Arrived, cfg.SLO)
 	}
 	if cfg.AdaptiveBalance || cfg.StealThreshold > 0 {
-		d.steal = func() int { return splitSteal(mc, cfg) }
+		d.steal = func() int { return splitSteal(mc) }
 	}
 	if cfg.HedgeFactor >= 1 {
 		// Patience is HedgeFactor x the adopted service-p95 for the
@@ -389,51 +393,16 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 		return nil, err
 	}
 
-	onlyCPU := func(i int) bool { return i != dscsIdx }
-	// spillTarget picks the CPU pool an over-threshold (or over-wait)
-	// arrival lands on: least-queued under the static threshold,
-	// least-wait under adaptive balance (serve.MultiCore.BalanceTarget).
-	// A dead accelerated tier reroutes arrivals to the least-queued
-	// healthy CPU pool whenever any balancing is armed — the same
-	// dead-pool reroute the live engine's enqueue applies.
-	spillTarget := func() (int, bool) {
-		if !mc.Healthy(dscsIdx) && (cfg.AdaptiveBalance || cfg.SpilloverThreshold > 0) {
-			best, depth, found := 0, 0, false
-			for i := 0; i < dscsIdx; i++ {
-				if !mc.Healthy(i) {
-					continue
-				}
-				if d := mc.Pool(i).QueueLen(); !found || d < depth {
-					best, depth, found = i, d, true
-				}
-			}
-			return best, found
-		}
-		if cfg.AdaptiveBalance {
-			return mc.BalanceTarget(dscsIdx, onlyCPU)
-		}
-		if cfg.SpilloverThreshold <= 0 ||
-			mc.Pool(dscsIdx).QueueLen() < cfg.SpilloverThreshold {
-			return 0, false
-		}
-		best, depth := 0, 0
-		for i := 0; i < dscsIdx; i++ {
-			if d := mc.Pool(i).QueueLen(); i == 0 || d < depth {
-				best, depth = i, d
-			}
-		}
-		return best, true
-	}
-
 	for _, r := range tr.Requests {
 		req := r
 		d.eng.At(req.At, func() {
 			task := pricing.task(req, d.eng.Now())
-			// Arrivals target the accelerated backlog; past the spillover
-			// trigger they land on a CPU backlog instead — the same
-			// submit-time reroute the live engine applies.
+			// Arrivals target the accelerated backlog; the MultiCore
+			// reroutes them onto a CPU backlog past the spill trigger or
+			// while the accelerated tier is dead — the same decision the
+			// live engine's submit path takes.
 			idx := dscsIdx
-			if to, ok := spillTarget(); ok {
+			if to, ok := mc.BalanceTarget(dscsIdx); ok {
 				idx = to
 			}
 			if d.submit(idx, task) && idx != dscsIdx {
@@ -466,12 +435,11 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 	return st, ledger("hybrid request", st.Completed, st.Dropped, st.Stranded, len(tr.Requests))
 }
 
-// splitSteal is the pull half of split-layout rebalancing: a pool with
-// free instances and an empty backlog drains a peer's excess, capped at
-// its free capacity. The static threshold picks the deepest peer beyond
-// the depth count; adaptive balance picks the deepest peer whose adopted
-// wait-p95 gap over the thief has latched (serve.MultiCore.StealDonor).
-func splitSteal(mc *serve.MultiCore, cfg HybridConfig) int {
+// splitSteal is the pull half of split-layout rebalancing: every healthy
+// pool with free instances and an empty backlog pulls from the donor
+// serve.MultiCore.StealDonor picks, capped at its free capacity and the
+// donor's surplus over its floor.
+func splitSteal(mc *serve.MultiCore) int {
 	stole := 0
 	for to := 0; to < mc.Pools(); to++ {
 		thief := mc.Pool(to)
@@ -482,49 +450,9 @@ func splitSteal(mc *serve.MultiCore, cfg HybridConfig) int {
 		if free == 0 || thief.QueueLen() > 0 || !thief.Healthy() {
 			continue
 		}
-		if cfg.AdaptiveBalance {
-			from, ok := mc.StealDonor(to, nil)
-			if !ok {
-				continue
-			}
-			if depth := mc.Pool(from).QueueLen(); depth < free {
-				free = depth
-			}
-			stole += len(mc.Steal(from, to, free))
-			continue
+		if from, surplus, ok := mc.StealDonor(to); ok {
+			stole += len(mc.Steal(from, to, min(free, surplus)))
 		}
-		from, excess := -1, 0
-		for i := 0; i < mc.Pools(); i++ {
-			if i == to {
-				continue
-			}
-			// The static threshold steals cross-class only, exactly like
-			// the live engine's static path: same-class rebalancing is what
-			// AdaptiveBalance adds, and a replay must not move work the
-			// deployed configuration would leave queued. A dead donor
-			// bypasses both the class restriction and the depth floor — its
-			// backlog has no workers coming back for it, so any orphan
-			// justifies the pull (the live engine's static path applies the
-			// same bypass).
-			alive := mc.Healthy(i)
-			if alive && mc.Spec(i).Class == mc.Spec(to).Class {
-				continue
-			}
-			floor := cfg.StealThreshold
-			if !alive {
-				floor = 0
-			}
-			if over := mc.Pool(i).QueueLen() - floor; over > excess {
-				from, excess = i, over
-			}
-		}
-		if from < 0 {
-			continue
-		}
-		if excess < free {
-			free = excess
-		}
-		stole += len(mc.Steal(from, to, free))
 	}
 	return stole
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +180,41 @@ func TestWorkflowFanInStrandedByFault(t *testing.T) {
 	}
 	if st.WorkflowsSucceeded != 0 || st.WorkflowsSettled != 1 {
 		t.Fatalf("workflow settled=%d succeeded=%d, want settled partial", st.WorkflowsSettled, st.WorkflowsSucceeded)
+	}
+}
+
+// TestWorkflowDriveLossRepeatable pins seeded replays through the loss of
+// populated drives: each drive-down re-replicates what the drive held, and
+// the third loss leaves a chunk with no healthy source, where the repair
+// stops — so which chunks it repaired first (and every read, placement and
+// write after it) depends on the order it walks the objects in. Two
+// same-seed runs must agree on every statistic.
+func TestWorkflowDriveLossRepeatable(t *testing.T) {
+	wtr, err := trace.GenerateWorkflows(trace.WorkflowConfig{
+		Duration: 2 * time.Minute, Rate: 3, ETLShare: 0.5, FanOut: 4,
+	}, workload.Suite(), sim.NewRNG(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := trace.ParseFaultScript("30s:drive-down:drive1;40s:drive-down:drive2;50s:drive-down:drive3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workflowGoldenConfig(true)
+	cfg.Faults = faults
+	run := func() *WorkflowStats {
+		st, err := RunWorkflows(wtr, cfg, 33)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, b := run(), run()
+	if a.Faults != 3 || a.StagesCompleted == 0 {
+		t.Fatalf("faults/completed = %d/%d, want three drive losses over a live run", a.Faults, a.StagesCompleted)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same-seed replays diverged:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -6,6 +6,7 @@ package objstore
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"dscs/internal/units"
@@ -105,7 +106,9 @@ func (s *Store) DSCSReplicaHealthy(key string) (node *Node, offset int64, ok boo
 // replica on the failed node: each affected chunk is copied from a healthy
 // replica to a healthy node not already holding it. It returns the number
 // of chunks moved and the total bytes copied (the background repair
-// traffic a real store would schedule).
+// traffic a real store would schedule). Objects are repaired in key order,
+// so the repair targets and offsets are a function of the store's state
+// alone — a seeded replay that fails a populated drive reproduces.
 func (s *Store) ReReplicate(failedID string) (chunks int, moved units.Bytes, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -113,7 +116,13 @@ func (s *Store) ReReplicate(failedID string) (chunks int, moved units.Bytes, err
 	if !ok {
 		return 0, 0, fmt.Errorf("objstore: no such node %q", failedID)
 	}
-	for _, obj := range s.objects {
+	keys := make([]string, 0, len(s.objects))
+	for k := range s.objects {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		obj := s.objects[k]
 		for ci := range obj.Chunks {
 			chunk := &obj.Chunks[ci]
 			idx := -1

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"fmt"
 	"testing"
 
 	"dscs/internal/units"
@@ -220,5 +221,52 @@ func TestRepairOverFailRecoverSequences(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReReplicateDeterministic pins repair placement to the store's state:
+// two identically built and populated stores that lose the same node must
+// repair every chunk onto the same node at the same offset. Repair targets
+// and offsets are handed out in iteration order, so walking the object map
+// in Go's randomized order made a replayed drive failure diverge.
+func TestReReplicateDeterministic(t *testing.T) {
+	build := func() *Store {
+		s := testStore(t, 4, 2)
+		for i := 0; i < 24; i++ {
+			key := fmt.Sprintf("obj-%02d", i)
+			if _, err := s.Put(key, units.Bytes(1+i%3)*units.MB, i%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	a, b := build(), build()
+	node, _, ok := a.DSCSReplica("obj-00")
+	if !ok {
+		t.Fatal("obj-00 has no DSCS replica")
+	}
+	for _, s := range []*Store{a, b} {
+		if err := s.FailNode(node.ID); err != nil {
+			t.Fatal(err)
+		}
+		if chunks, _, err := s.ReReplicate(node.ID); err != nil || chunks == 0 {
+			t.Fatalf("repair moved %d chunks, err %v", chunks, err)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		key := fmt.Sprintf("obj-%02d", i)
+		oa, _ := a.Lookup(key)
+		ob, _ := b.Lookup(key)
+		for ci := range oa.Chunks {
+			ra, rb := oa.Chunks[ci].Replicas, ob.Chunks[ci].Replicas
+			if len(ra) != len(rb) {
+				t.Fatalf("%s chunk %d: replica counts %d vs %d", key, ci, len(ra), len(rb))
+			}
+			for ri := range ra {
+				if ra[ri] != rb[ri] {
+					t.Fatalf("%s chunk %d replica %d: %+v vs %+v", key, ci, ri, ra[ri], rb[ri])
+				}
+			}
+		}
 	}
 }

@@ -258,8 +258,16 @@ func (q *HybridQueue) TakeWhereInto(dst []HybridTask, max int, match func(Hybrid
 //
 //dscslint:hotpath
 func (q *HybridQueue) TakePrefix(max int, match func(HybridTask) bool) []HybridTask {
+	return q.TakePrefixInto(nil, max, match)
+}
+
+// TakePrefixInto is TakePrefix appending into dst — the steal path hands
+// a reused buffer here so a rebalancing pull never allocates.
+//
+//dscslint:hotpath
+func (q *HybridQueue) TakePrefixInto(dst []HybridTask, max int, match func(HybridTask) bool) []HybridTask {
 	if max <= 0 {
-		return nil
+		return dst
 	}
 	liveView := q.live()
 	n := 0
@@ -270,9 +278,9 @@ func (q *HybridQueue) TakePrefix(max int, match func(HybridTask) bool) []HybridT
 		n++
 	}
 	if n == 0 {
-		return nil
+		return dst
 	}
-	taken := append([]HybridTask(nil), liveView[:n]...)
+	taken := append(dst, liveView[:n]...)
 	clear(q.tasks[q.head : q.head+n])
 	q.head += n
 	q.compact()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,19 +168,25 @@ func (t *Telemetry) GaugeHandle(name string) GaugeHandle {
 
 // Render dumps the registry in exposition-format-like lines, sorted.
 func (t *Telemetry) Render() string {
-	var names []string
+	var lines []string
 	t.counters.Range(func(k, v any) bool {
-		names = append(names, fmt.Sprintf("%s %g", k.(string), v.(*cell).load()))
+		lines = append(lines, fmt.Sprintf("%s %g", k.(string), v.(*cell).load()))
 		return true
 	})
 	t.gauges.Range(func(k, v any) bool {
-		names = append(names, fmt.Sprintf("%s %g", k.(string), v.(*cell).load()))
+		lines = append(lines, fmt.Sprintf("%s %g", k.(string), v.(*cell).load()))
 		return true
 	})
-	sort.Strings(names)
-	out := ""
-	for _, l := range names {
-		out += l + "\n"
+	sort.Strings(lines)
+	size := len(lines)
+	for _, l := range lines {
+		size += len(l)
 	}
-	return out
+	var out strings.Builder
+	out.Grow(size)
+	for _, l := range lines {
+		out.WriteString(l)
+		out.WriteByte('\n')
+	}
+	return out.String()
 }

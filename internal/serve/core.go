@@ -45,8 +45,10 @@ type PoolCore struct {
 	stolenIn, stolenOut int
 	// scratch is the reused extraction buffer behind Coalesce and
 	// DispatchFormed's due-group pull, so the batching hot path never
-	// allocates. Serialized by whatever serializes the core.
-	scratch []sched.HybridTask
+	// allocates; stolen is StealFrom's, kept apart so a steal never
+	// clobbers a coalesced batch. Serialized by whatever serializes the
+	// core.
+	scratch, stolen []sched.HybridTask
 	// lc, when attached, makes the pool's capacity elastic: total/free
 	// track the lifecycle's warm count instead of staying fixed at
 	// construction. Nil keeps the fixed-pool behavior bit-identical.
@@ -180,6 +182,10 @@ func (c *PoolCore) Recover(now time.Duration) {
 
 // Healthy reports whether the pool is dispatching (not browned out).
 func (c *PoolCore) Healthy() bool { return !c.dead }
+
+// Idle reports whether the pool could serve new work immediately:
+// healthy, empty backlog, a free worker.
+func (c *PoolCore) Idle() bool { return !c.dead && c.queue.Len() == 0 && c.free > 0 }
 
 // Faults counts Fail transitions.
 func (c *PoolCore) Faults() int { return c.faults }
@@ -339,7 +345,10 @@ func (c *PoolCore) DispatchFormed(now time.Duration) (t sched.HybridTask, ok boo
 // oldest-first invariant holds too. Submission accounting moves with the
 // tasks: the donor no longer counts them, the thief does, and a donor-side
 // batch former sheds them. The move is capped at the thief's queue room —
-// a rebalance must never turn into a drop. It returns the moved tasks.
+// a rebalance must never turn into a drop. It returns the moved tasks in
+// the thief's reused steal buffer: the slice stays valid until the next
+// StealFrom on c, so callers consume it before stealing into c again
+// (every call site does — under the lock that serializes the core).
 //
 //dscslint:hotpath
 func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
@@ -351,7 +360,8 @@ func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
 	if room := c.queue.Room(); max > room {
 		max = room
 	}
-	moved := donor.queue.TakePrefix(max, nil)
+	moved := donor.queue.TakePrefixInto(c.stolen[:0], max, nil)
+	c.stolen = moved
 	for _, t := range moved {
 		c.queue.Restore(t)
 		if donor.former != nil {

@@ -26,16 +26,20 @@
 // spillover pushes DSCS-class submissions to a CPU pool; drain-time
 // stealing lets an idle pool pull a peer's oldest backlog (StealFrom keeps
 // arrival instants and order, so the sched.AgingMultiple starvation bound
-// follows tasks across queues). The triggers are either static queue-depth
-// counts (Options.SpilloverThreshold / StealThreshold) or, behind
-// Options.AdaptiveBalance, the wait-keyed latch: every dispatch records
-// the served request's queue delay — arrival to dispatch — into
-// per-{platform, class} digests (the wait observatory, surfaced as
-// serve_queue_delay_{p50,p95,p99} gauges), and work moves once the donor
-// pool's adopted wait-p95 has diverged above the target's past the
-// metrics adoption hysteresis (Digest.Adopt's bands over one
-// metrics.Latch per pool pair). MultiCore holds per-pool backlogs for
-// any number of pools, so multiple same-class platforms rebalance with the
+// follows tasks across queues). MultiCore is the one implementation of
+// that balance policy: BalanceTarget answers the spill question (including
+// the reroute away from a dead DSCS pool) and StealDonor the steal
+// question, for the simulations and for the Engine, which holds its pools
+// in a MultiCore and installs lock-free per-pool readers. The triggers are
+// either static queue-depth counts (Options.SpilloverThreshold /
+// StealThreshold) or, behind Options.AdaptiveBalance, the wait-keyed
+// latch: every dispatch records the served request's queue delay —
+// arrival to dispatch — into per-{platform, class} digests (the wait
+// observatory, surfaced as serve_queue_delay_{p50,p95,p99} gauges), and
+// work moves once the donor pool's adopted wait-p95 has diverged above
+// the target's past the metrics adoption hysteresis (Digest.Adopt's bands
+// over one latch per pool pair). MultiCore holds per-pool backlogs for any
+// number of pools, so multiple same-class platforms rebalance with the
 // same logic; HybridCore is the classic layout where both classes drain
 // one shared queue.
 //

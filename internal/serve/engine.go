@@ -4,12 +4,13 @@
 // with the pluggable policies of internal/sched, request batching
 // (per-dispatch lingering or the queue-level SLO-aware former), two-way
 // queue rebalancing (submit-time spillover, drain-time stealing — static
-// depth counts or the wait-keyed AdaptiveBalance latch), per-drive
-// occupancy for DSCS executions, and the latency/wait observatories behind
-// the serve_latency_* and serve_queue_delay_* gauges. The discrete-event
-// at-scale simulation (internal/cluster) drives the same cores, windows,
-// and former from its virtual clock, so the simulated rack and the live
-// HTTP path share one scheduler implementation.
+// depth counts or the wait-keyed AdaptiveBalance latch, decided by the
+// engine's MultiCore), per-drive occupancy for DSCS executions, and the
+// latency/wait observatories behind the serve_latency_* and
+// serve_queue_delay_* gauges. The discrete-event at-scale simulation
+// (internal/cluster) drives the same cores, windows, former and balance
+// policy from its virtual clock, so the simulated rack and the live HTTP
+// path share one scheduler implementation.
 
 //dscslint:allow clockcheck this file is the wall-clock half of the core: worker sleeps, quiesce deadlines, and lifecycle timers run on real time (the clock-free state machines live in core.go and lifecycle.go)
 
@@ -118,10 +119,9 @@ type Options struct {
 	// pool's backlog (same class included) at drain time — once the donor's
 	// adopted wait-p95 has diverged above the target's past the hysteresis
 	// latch (the metrics.Digest.Adopt bands — enter at 1.5x, release
-	// within 1.2x, after EstimateWarmup dispatches — over one
-	// metrics.Latch per pool pair). Queue delay is what the SLO actually
-	// spends while work sits behind a hot pool; depth counts are only a
-	// proxy for it.
+	// within 1.2x, after EstimateWarmup dispatches — over one latch per
+	// pool pair). Queue delay is what the SLO actually spends while work
+	// sits behind a hot pool; depth counts are only a proxy for it.
 	AdaptiveBalance bool
 	// SpilloverThreshold routes a submission aimed at a DSCS-class pool
 	// to a CPU-class pool once the DSCS queue has reached this depth —
@@ -263,10 +263,13 @@ func putRequest(r *request) {
 	requestPool.Put(r)
 }
 
-// pool is one platform's worker pool: the shared PoolCore plus the
-// goroutine machinery the simulator doesn't need.
+// pool is one platform's worker pool: its PoolCore (the engine
+// MultiCore's pool idx) plus the goroutine machinery the simulator doesn't
+// need. It is the MultiCore's reader of that pool (Healthy, QueueLen,
+// Idle).
 type pool struct {
 	name   string
+	idx    int
 	runner *faas.Runner
 	class  sched.InstanceClass
 
@@ -449,6 +452,11 @@ type Engine struct {
 	opt   Options
 	tel   *sched.Telemetry
 	pools map[string]*pool
+	// mc holds every pool's core, in name order (all[i].core is
+	// mc.Pool(i)), and makes the engine's spill, steal and wait-pricing
+	// decisions; its wait observatory backs the serve_queue_delay_* gauges.
+	mc  *MultiCore
+	all []*pool
 	// spillCPU lists the CPU-class pools eligible as spillover targets,
 	// sorted by name for deterministic tie-breaks; dscsPools is the same
 	// cached view of the DSCS class (the pool set is immutable after
@@ -465,22 +473,11 @@ type Engine struct {
 	// recorded on every completion. Always recording (it backs the
 	// serve_latency_* gauges); consumed by pricing only with
 	// Options.AdaptiveEstimates.
-	obs *metrics.Observatory
-	// waitObs is the queue-delay observatory keyed {platform, class}: every
-	// dispatch records each served request's arrival→dispatch wait against
-	// the pool that served it (a stolen request charges the thief). Always
-	// recording (it backs the serve_queue_delay_* gauges); consumed by the
-	// spillover/steal decisions only with Options.AdaptiveBalance.
-	waitObs *metrics.Observatory
-	// balanceMu guards latches, the per-(donor, peer) adoption latches of
-	// the wait-gap decisions — per pair, not per digest, so pairwise
-	// comparisons across N pools never share hysteresis state.
-	balanceMu sync.Mutex
-	latches   map[[2]string]*metrics.Latch
-	start     time.Time
-	nextID    atomic.Int64
-	wg        sync.WaitGroup
-	once      sync.Once
+	obs    *metrics.Observatory
+	start  time.Time
+	nextID atomic.Int64
+	wg     sync.WaitGroup
+	once   sync.Once
 	// exec runs one coalesced batch (Options.Execute, or Runner.Invoke).
 	exec func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error)
 	// inflight counts admitted-but-undelivered requests; Quiesce polls it
@@ -567,27 +564,44 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		return nil, fmt.Errorf("serve: HedgeFactor %g must be 0 (disabled) or >= 1", opt.HedgeFactor)
 	}
 	e := &Engine{
-		opt:     opt,
-		tel:     opt.Telemetry,
-		pools:   make(map[string]*pool, len(runners)),
-		obs:     metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
-		waitObs: metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
-		latches: make(map[[2]string]*metrics.Latch),
-		start:   time.Now(),
+		opt:   opt,
+		tel:   opt.Telemetry,
+		pools: make(map[string]*pool, len(runners)),
+		obs:   metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
+		start: time.Now(),
 	}
 	e.wfMakespans = metrics.NewDigest(opt.EstimateWindow)
+	poolWorkers := opt.Workers
+	if elastic {
+		poolWorkers = opt.MaxWorkers
+	}
+	names := make([]string, 0, len(runners))
+	for name := range runners {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	specs := make([]PoolSpec, len(names))
+	for i, name := range names {
+		specs[i] = PoolSpec{Name: name, Class: classFor(runners[name].Platform),
+			Workers: poolWorkers, QueueDepth: opt.QueueDepth, Policy: opt.Policy}
+	}
+	mc, err := NewMultiCore(specs)
+	if err != nil {
+		return nil, err
+	}
+	mc.SetWaitTuning(opt.EstimateWindow, opt.EstimateWarmup)
+	if err := mc.SetBalance(Balance{Adaptive: opt.AdaptiveBalance, Spill: opt.SpilloverThreshold,
+		Steal: opt.StealThreshold, SpillTo: opt.SpilloverTo}); err != nil {
+		return nil, err
+	}
+	e.mc = mc
+	readers := make([]poolReader, len(names))
 	var dscsStores []*objstore.Store
-	for name, r := range runners {
-		class := classFor(r.Platform)
-		poolWorkers := opt.Workers
-		if elastic {
-			poolWorkers = opt.MaxWorkers
-		}
-		core, err := NewPoolCore(poolWorkers, opt.QueueDepth, class, opt.Policy)
-		if err != nil {
-			return nil, err
-		}
-		p := &pool{name: name, runner: r, class: class, core: core, timerAt: -1}
+	for i, name := range names {
+		r, class, core := runners[name], specs[i].Class, mc.Pool(i)
+		p := &pool{name: name, idx: i, runner: r, class: class, core: core, timerAt: -1}
+		e.all = append(e.all, p)
+		readers[i] = p
 		p.cond = sync.NewCond(&p.mu)
 		if elastic {
 			lc, err := NewLifecycle(LifecycleConfig{
@@ -649,31 +663,15 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			e.tel.Set("serve_queue_delay_"+q+"{platform="+name+",class="+class.String()+"}", 0)
 		}
 	}
-	for _, p := range e.pools {
+	mc.readThrough(readers)
+	for _, p := range e.all {
 		if p.class == sched.ClassCPU {
 			e.spillCPU = append(e.spillCPU, p)
 		} else {
 			e.dscsPools = append(e.dscsPools, p)
 		}
 	}
-	sort.Slice(e.spillCPU, func(i, j int) bool { return e.spillCPU[i].name < e.spillCPU[j].name })
-	sort.Slice(e.dscsPools, func(i, j int) bool { return e.dscsPools[i].name < e.dscsPools[j].name })
 	if opt.SpilloverThreshold > 0 || opt.AdaptiveBalance {
-		if opt.SpilloverTo != "" {
-			t, ok := e.pools[opt.SpilloverTo]
-			if !ok {
-				return nil, fmt.Errorf("serve: unknown spillover target %q", opt.SpilloverTo)
-			}
-			if t.class != sched.ClassCPU {
-				return nil, fmt.Errorf("serve: spillover target %q is not a CPU-class pool", opt.SpilloverTo)
-			}
-		}
-		if opt.SpilloverThreshold > 0 && len(e.spillCPU) == 0 {
-			// A static threshold with nowhere to spill is a configuration
-			// error; adaptive balance simply never spills on such a lineup
-			// (it can still steal between same-class pools).
-			return nil, fmt.Errorf("serve: spillover enabled with no CPU-class pool")
-		}
 		// Register the counters up front so /metrics shows the feature is
 		// armed even before the first spill, and pre-resolve a handle for
 		// every directed (DSCS pool → CPU pool) pair the spill path can
@@ -807,11 +805,10 @@ func (e *Engine) now() time.Duration { return time.Since(e.start) }
 
 // Platforms lists the pools, sorted.
 func (e *Engine) Platforms() []string {
-	names := make([]string, 0, len(e.pools))
-	for n := range e.pools {
-		names = append(names, n)
+	names := make([]string, 0, len(e.all))
+	for _, p := range e.all {
+		names = append(names, p.name)
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -881,31 +878,6 @@ func coalescable(a, b faas.Options) bool {
 		a.ExtraAccelFuncs == b.ExtraAccelFuncs
 }
 
-// spillTarget picks the CPU-class pool an over-threshold DSCS submission
-// lands on: the configured SpilloverTo pool, or the least-queued CPU pool
-// (ties broken by name).
-func (e *Engine) spillTarget() *pool {
-	if e.opt.SpilloverTo != "" {
-		if t := e.pools[e.opt.SpilloverTo]; e.poolHealthy(t) {
-			return t
-		}
-		// The named target is down; fall through to the least-queued scan
-		// rather than spill into a pool that cannot dispatch.
-	}
-	var best *pool
-	bestDepth := 0
-	for _, c := range e.spillCPU {
-		if !e.poolHealthy(c) {
-			continue
-		}
-		depth := e.poolDepth(c)
-		if best == nil || depth < bestDepth {
-			best, bestDepth = c, depth
-		}
-	}
-	return best
-}
-
 // syncDepth refreshes a pool's queue-depth gauge and, with the sharded
 // ingress, the queued mirror its admission bound reads. Callers hold p.mu;
 // every core mutation routes through here so the two views cannot drift.
@@ -942,11 +914,7 @@ func (e *Engine) advanceElasticLocked(p *pool) bool {
 		starved := p.core.QueueLen() > 0 && p.core.Busy() >= p.core.Workers()
 		if starved || now-p.scaleAt >= scaleDecideInterval {
 			p.scaleAt = now
-			var waitP95 time.Duration
-			if dg := e.waitDigestOf(p); dg != nil && dg.Count() >= e.waitObs.Warmup() {
-				waitP95 = dg.Quantile(WaitQuantile)
-			}
-			desired := a.Desired(now, p.core.Busy(), p.core.QueueLen(), waitP95)
+			desired := a.Desired(now, p.core.Busy(), p.core.QueueLen(), e.mc.WarmedWait(p.idx))
 			if desired != lc.Desired() && p.core.ScaleTo(desired, now) {
 				changed = true
 			}
@@ -1026,17 +994,29 @@ func (e *Engine) lifecycleTick(p *pool) {
 	}
 }
 
-// poolDepth reads a pool's total backlog — staged plus queued with the
-// sharded ingress (two atomic loads, no lock), or the locked core length on
-// the direct path. The spill and steal scans use it so rebalancing
-// decisions never serialize on the pool mutexes they are routing around.
-func (e *Engine) poolDepth(p *pool) int {
+// Healthy reads the pool's health bit from its lock-free mirror: the
+// MultiCore's spill, steal and hedge scans must not serialize on the pool
+// mutexes they are routing around (paths holding p.mu read the core).
+func (p *pool) Healthy() bool { return !p.deadBit.Load() }
+
+// QueueLen reads the pool's total backlog — staged plus queued with the
+// sharded ingress (two atomic loads, no lock), or the locked core length
+// on the direct path.
+func (p *pool) QueueLen() int {
 	if p.ingress != nil {
 		return p.ingress.pending()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.core.QueueLen()
+}
+
+// Idle reports whether the pool would serve new work immediately: the
+// core is idle and nothing is staged ahead of it on the ingress.
+func (p *pool) Idle() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.core.Idle() && (p.ingress == nil || p.ingress.staged.Load() == 0)
 }
 
 // deliver resolves one admitted request: hands the outcome to the blocked
@@ -1170,11 +1150,7 @@ func (e *Engine) wakePeers(p *pool, depth int) {
 		// static depth gate nor the warmed-digest gate below can fire for
 		// it (its digest was invalidated at death), so wake every peer
 		// directly — a parked worker elsewhere is this backlog's only exit.
-		for _, d := range e.pools {
-			if d != p {
-				d.cond.Signal()
-			}
-		}
+		e.signalPeers(p)
 		return
 	}
 	if e.opt.AdaptiveBalance {
@@ -1193,18 +1169,18 @@ func (e *Engine) wakePeers(p *pool, depth int) {
 // threshold's cross-class signal, shared by the submit-time (admit) and
 // dispatch-time (recordWaits) call sites so the two wakeup policies
 // cannot drift apart. The gate is exactly the latch's own arming
-// precondition: p has a backlog, its wait digest is warmed, and the
-// recent window actually holds waits — a zero windowed p95 can never arm
-// Latch.Above, so waking workers to lock-scan every pool then would be
-// pure overhead on the request path.
+// precondition: p has a backlog and a warmed, positive windowed wait-p95
+// — a zero p95 can never arm the latch, so waking workers to scan every
+// pool then would be pure overhead on the request path.
 func (e *Engine) signalPeersForBalance(p *pool, backlog bool) {
-	if !backlog || !e.waitWarmed(p) {
-		return
+	if backlog && e.mc.WarmedWait(p.idx) > 0 {
+		e.signalPeers(p)
 	}
-	if e.waitDigestOf(p).Quantile(WaitQuantile) <= 0 {
-		return
-	}
-	for _, d := range e.pools {
+}
+
+// signalPeers wakes one parked worker of every pool but p.
+func (e *Engine) signalPeers(p *pool) {
+	for _, d := range e.all {
 		if d != p {
 			d.cond.Signal()
 		}
@@ -1294,37 +1270,13 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		//dscslint:allow hotpathcheck cold branch: caller error, never taken by well-formed traffic
 		return nil, "", fmt.Errorf("serve: nil benchmark")
 	}
+	// The MultiCore decides every spill: the dead-home reroute, the
+	// wait-gap latch under AdaptiveBalance, or the static depth threshold.
+	// (Without rebalancing a submission to a dead pool queues there, the
+	// degraded mode an operator chose by running isolated pools.)
 	target, spilled := p, false
-	if p.class == sched.ClassDSCS {
-		switch {
-		case !e.poolHealthy(p) && (e.opt.AdaptiveBalance || e.opt.SpilloverThreshold > 0):
-			// The home pool is dead: with rebalancing armed, reroute
-			// unconditionally — no depth or wait gap needed, anything
-			// admitted here waits for recovery or rescue. (Without
-			// rebalancing the submission queues on the dead pool, the
-			// degraded mode an operator chose by running isolated pools.)
-			if t := e.spillTarget(); t != nil && t != p {
-				target, spilled = t, true
-			}
-		case e.opt.AdaptiveBalance:
-			// Wait-keyed spillover: reroute once this pool's adopted
-			// wait-p95 has latched above the spill target's — queue delay,
-			// not queue depth, is what the submission is about to pay. An
-			// empty queue never spills: there is no backlog to route
-			// around, and noise-level warmed waits beside an idle peer
-			// must not reroute work that would dispatch immediately.
-			if e.poolDepth(p) > 0 {
-				if t := e.adaptiveSpillTarget(); t != nil && t != p && e.waitGapToPool(p, t) {
-					target, spilled = t, true
-				}
-			}
-		case e.opt.SpilloverThreshold > 0:
-			if e.poolDepth(p) >= e.opt.SpilloverThreshold {
-				if t := e.spillTarget(); t != nil && t != p {
-					target, spilled = t, true
-				}
-			}
-		}
+	if i, ok := e.mc.BalanceTarget(p.idx); ok {
+		target, spilled = e.all[i], true
 	}
 	cpuSvc, dscsSvc, accel := e.estimate(b)
 	if e.opt.AdaptiveEstimates {
@@ -1489,114 +1441,15 @@ func lingerSlice(linger time.Duration) time.Duration {
 	return slice
 }
 
-// waitDigestOf reads a pool's queue-delay digest (nil before its first
-// dispatch).
-func (e *Engine) waitDigestOf(p *pool) *metrics.Digest {
-	return e.waitObs.Digest(p.name, p.class.String())
-}
-
-// pricedWait is what moved work would wait on a pool right now: its
-// recorded wait-p95 — except that an idle pool (empty backlog, free
-// worker) serves new work immediately and prices at zero, whatever its
-// digest holds (its recorded waits may be history it imported rescuing
-// the very donor asking). The MultiCore peerWait pricing, on engine pools.
-//
-// The health bit is checked before the idle fast path: a dead pool is the
-// textbook "idle" — empty-looking queue, free workers — but work priced
-// onto it waits for its recovery, not zero. Callers skip dead pools
-// outright; the gate here keeps the zero-price shortcut from ever
-// answering for one.
-func (e *Engine) pricedWait(p *pool) time.Duration {
-	p.mu.Lock()
-	healthy := p.core.Healthy()
-	staged := p.ingress != nil && p.ingress.staged.Load() > 0
-	idle := healthy && !staged && p.core.QueueLen() == 0 && p.core.Busy() < p.core.Workers()
-	p.mu.Unlock()
-	if idle {
-		return 0
-	}
-	if dg := e.waitDigestOf(p); dg != nil {
-		return dg.Quantile(WaitQuantile)
-	}
-	return 0
-}
-
-// poolHealthy reads a pool's health bit — the engine-side spelling of
-// MultiCore.Healthy for the spill/steal/hedge scans. It reads the lock-free
-// mirror: rebalancing decisions must not serialize on the pool mutexes
-// they are routing around (decision paths holding p.mu read the core
-// directly).
-func (e *Engine) poolHealthy(p *pool) bool {
-	return !p.deadBit.Load()
-}
-
-// adaptiveSpillTarget picks the CPU-class pool a wait-keyed spill lands
-// on: the configured SpilloverTo pool, or the peer with the lowest priced
-// wait — mirroring MultiCore.BalanceTarget, where ranking by queue depth
-// or raw digest p95 would let a shallow-but-slow (or rescue-contaminated)
-// pool shadow a genuinely cheap one. Ties break by name: spillCPU is
-// name-sorted and the strict < keeps the first.
-func (e *Engine) adaptiveSpillTarget() *pool {
-	if e.opt.SpilloverTo != "" {
-		if t := e.pools[e.opt.SpilloverTo]; e.poolHealthy(t) {
-			return t
-		}
-		// The named target is down; fall through to the scan rather than
-		// spill into a pool that cannot dispatch.
-	}
-	var best *pool
-	var bestWait time.Duration
-	for _, c := range e.spillCPU {
-		if !e.poolHealthy(c) {
-			continue
-		}
-		if w := e.pricedWait(c); best == nil || w < bestWait {
-			best, bestWait = c, w
-		}
-	}
-	return best
-}
-
-// waitGapToPool is the engine's adaptive-balance trigger: whether donor's
-// adopted wait-p95 has latched above what moved work would wait on peer
-// (see waitGapLatched — the same decision MultiCore applies in the
-// simulations). The balanceMu critical section is a map lookup plus one
-// ratio comparison — nanoseconds, far below the pool mutexes already on
-// this path.
-func (e *Engine) waitGapToPool(donor, peer *pool) bool {
-	if !e.poolHealthy(peer) {
-		// Work never rebalances onto a dead pool, whatever the gap says.
-		return false
-	}
-	peerWait := e.pricedWait(peer)
-	e.balanceMu.Lock()
-	defer e.balanceMu.Unlock()
-	k := [2]string{donor.name, peer.name}
-	latch := e.latches[k]
-	if latch == nil {
-		latch = &metrics.Latch{}
-		e.latches[k] = latch
-	}
-	return waitGapLatched(e.waitDigestOf(donor), latch, peerWait, e.waitObs.Warmup())
-}
-
-// waitWarmed reports whether a pool's wait digest has enough observations
-// for the balance latch to possibly trip — the cheap gate that keeps the
-// adaptive wakeup signals from firing while no steal can trigger anyway.
-func (e *Engine) waitWarmed(p *pool) bool {
-	dg := e.waitDigestOf(p)
-	return dg != nil && dg.Count() >= e.waitObs.Warmup()
-}
-
 // stealInto pulls queued work from a donor pool into p — the drain-time
-// half of rebalancing, complementing submit-time spillover. With the
-// static StealThreshold the donor is the deepest pool of the other class
-// whose backlog exceeds the count; with AdaptiveBalance it is the deepest
-// pool of any class (same-class platforms rebalance too) whose adopted
-// wait-p95 gap over p has latched. The caller holds p.mu; stealInto
-// releases it and retakes both pool locks in name order (the engine-wide
-// lock order), so two pools stealing from each other cannot deadlock. It
-// returns how many requests moved; p.mu is held again on return.
+// half of rebalancing, complementing submit-time spillover. The MultiCore
+// picks the donor (StealDonor: the static threshold's deepest other-class
+// backlog, or under AdaptiveBalance the deepest pool of any class whose
+// wait gap over p has latched). The caller holds p.mu; stealInto releases
+// it for the scan and retakes both pool locks in name order (the
+// engine-wide lock order), so two pools stealing from each other cannot
+// deadlock. It returns how many requests moved; p.mu is held again on
+// return.
 //
 //dscslint:hotpath
 func (e *Engine) stealInto(p *pool) int {
@@ -1606,52 +1459,12 @@ func (e *Engine) stealInto(p *pool) int {
 		return 0
 	}
 	p.mu.Unlock()
-	var donor *pool
-	if e.opt.AdaptiveBalance {
-		deepest := 0
-		for _, d := range e.pools {
-			if d == p {
-				continue
-			}
-			depth := e.poolDepth(d)
-			if depth == 0 {
-				continue
-			}
-			// A dead donor's backlog drains only by rescue — no latch or
-			// wait gap required; its digest was invalidated at death and
-			// could never trip one anyway.
-			if e.poolHealthy(d) && !e.waitGapToPool(d, p) {
-				continue
-			}
-			if depth > deepest || (depth == deepest && donor != nil && d.name < donor.name) {
-				donor, deepest = d, depth
-			}
-		}
-	} else {
-		deepest := 0
-		for _, d := range e.pools {
-			if d == p {
-				continue
-			}
-			alive := e.poolHealthy(d)
-			if alive && d.class == p.class {
-				// Live same-class pools rebalance only adaptively; a dead
-				// pool's backlog is rescued regardless of class.
-				continue
-			}
-			depth := e.poolDepth(d)
-			if depth == 0 || (alive && depth <= e.opt.StealThreshold) {
-				continue
-			}
-			if depth > deepest || (depth == deepest && donor != nil && d.name < donor.name) {
-				donor, deepest = d, depth
-			}
-		}
-	}
-	if donor == nil {
+	i, _, ok := e.mc.StealDonor(p.idx)
+	if !ok {
 		p.mu.Lock()
 		return 0
 	}
+	donor := e.all[i]
 	first, second := p, donor
 	if second.name < first.name {
 		first, second = second, first
@@ -1663,15 +1476,11 @@ func (e *Engine) stealInto(p *pool) int {
 	// into the core yet. Drain it (under both locks, safely ordered) so the
 	// steal sees the donor's full depth.
 	e.drainLocked(donor)
-	// Re-check under both locks: the backlog may have drained, or the
-	// engine may be closing, since the unlocked scan. (The adaptive latch
-	// itself is not re-checked — it just tripped, and hysteresis means a
-	// single completion cannot have released it.)
-	floor := e.opt.StealThreshold
-	if e.opt.AdaptiveBalance || !donor.core.Healthy() {
-		floor = 0
-	}
-	if !p.closed && !donor.closed && p.core.Healthy() && donor.core.QueueLen() > floor {
+	// Re-check under both locks: the backlog may have drained past the
+	// donor's floor, or the engine may be closing, since the unlocked scan.
+	// (The adaptive latch itself is not re-checked — it just tripped, and
+	// hysteresis means a single completion cannot have released it.)
+	if !p.closed && !donor.closed && p.core.Healthy() && donor.core.QueueLen() > e.mc.stealFloor(i) {
 		tasks := p.core.StealFrom(donor.core, e.opt.MaxBatch)
 		for _, t := range tasks {
 			// The request rides the task's Ref across the move; only the
@@ -1876,11 +1685,7 @@ func (e *Engine) worker(p *pool) {
 			p.mu.Unlock()
 			e.cRequeues.Inc(float64(len(bs.tasks)))
 			// The requeued backlog is rescue work: wake peers to steal it.
-			for _, d := range e.pools {
-				if d != p {
-					d.cond.Signal()
-				}
-			}
+			e.signalPeers(p)
 			putBatch(bs)
 			p.mu.Lock()
 			continue
@@ -2102,7 +1907,7 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Time) {
 		}
 		bs.waits = append(bs.waits, w)
 	}
-	dg := e.waitObs.RecordBatch(p.name, p.class.String(), bs.waits)
+	dg := e.mc.waits.RecordBatch(p.name, p.class.String(), bs.waits)
 	if dg == nil {
 		return
 	}
@@ -2131,7 +1936,7 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Time) {
 
 // WaitObservatory exposes the engine's queue-delay digests (diagnostics,
 // tests).
-func (e *Engine) WaitObservatory() *metrics.Observatory { return e.waitObs }
+func (e *Engine) WaitObservatory() *metrics.Observatory { return e.mc.waits }
 
 // observedService blends one class's static service prior toward the
 // observed p50 of that class's best-observed pool (the cached class lists

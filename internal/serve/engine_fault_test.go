@@ -71,21 +71,21 @@ func TestDeadPoolNotSpillTarget(t *testing.T) {
 	if err := eng.FailPool("Baseline (CPU)"); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.adaptiveSpillTarget(); got == nil || got.name != "Standby (CPU)" {
+	if got := spillPeer(eng, true); got == nil || got.name != "Standby (CPU)" {
 		t.Fatalf("adaptive spill target with Baseline dead = %v, want Standby (CPU)", got)
 	}
-	if got := eng.spillTarget(); got == nil || got.name != "Standby (CPU)" {
+	if got := spillPeer(eng, false); got == nil || got.name != "Standby (CPU)" {
 		t.Fatalf("static spill target with Baseline dead = %v, want Standby (CPU)", got)
 	}
 	// The wait-gap trigger must never route onto a dead peer either.
 	dscs, dead := eng.pools["DSCS-Serverless"], eng.pools["Baseline (CPU)"]
-	if eng.waitGapToPool(dscs, dead) {
+	if eng.mc.Overloaded(dscs.idx, dead.idx) {
 		t.Fatal("wait gap latched toward a dead pool")
 	}
 	if err := eng.RecoverPool("Baseline (CPU)"); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.adaptiveSpillTarget(); got == nil || got.name != "Baseline (CPU)" {
+	if got := spillPeer(eng, true); got == nil || got.name != "Baseline (CPU)" {
 		t.Fatalf("adaptive spill target after recovery = %v, want Baseline (CPU)", got)
 	}
 	if err := eng.Conservation(); err != nil {

@@ -33,6 +33,16 @@ func dscsBusy(eng *Engine) int {
 	return p.core.Busy()
 }
 
+// spillPeer resolves the engine MultiCore's spill target — static
+// (least-queued) or adaptive (least priced wait) — to its pool, nil when
+// no healthy CPU-class pool exists.
+func spillPeer(eng *Engine, byWait bool) *pool {
+	if i, ok := eng.mc.spillPeer(byWait); ok {
+		return eng.all[i]
+	}
+	return nil
+}
+
 func TestSpilloverValidation(t *testing.T) {
 	if _, err := NewEngine(testRunners(t), Options{SpilloverThreshold: 4, SpilloverTo: "TPU"}); err == nil {
 		t.Error("unknown spillover target must fail")
@@ -48,7 +58,7 @@ func TestSpillTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if got := eng.spillTarget(); got == nil || got.name != "Baseline (CPU)" {
+	if got := spillPeer(eng, false); got == nil || got.name != "Baseline (CPU)" {
 		t.Fatalf("explicit spill target not honored: %+v", got)
 	}
 
@@ -57,7 +67,7 @@ func TestSpillTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	got := eng2.spillTarget()
+	got := spillPeer(eng2, false)
 	if got == nil || got.class != sched.ClassCPU {
 		t.Fatalf("default spill target must be a CPU-class pool, got %+v", got)
 	}

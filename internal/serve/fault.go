@@ -23,9 +23,10 @@ import (
 // FailPool kills a platform pool: its workers stop dispatching, in-flight
 // batches requeue at completion instead of delivering, and its queue keeps
 // admitting (durable) until peers steal the backlog or RecoverPool brings
-// the pool back. The wait digest and every balance latch touching the pool
-// are invalidated — a dead pool's recorded waits price nothing, and stale
-// hysteresis must not survive into its next life. Idempotent.
+// the pool back. MultiCore.FailPool invalidates the pool's wait digest
+// and every balance latch touching it — a dead pool's recorded waits price
+// nothing, and stale hysteresis must not survive into its next life.
+// Idempotent.
 func (e *Engine) FailPool(platformName string) error {
 	p, ok := e.pools[platformName]
 	if !ok {
@@ -36,8 +37,10 @@ func (e *Engine) FailPool(platformName string) error {
 		p.mu.Unlock()
 		return nil
 	}
-	p.core.Fail(e.now())
+	// Publish the death to the balance readers before the invalidation:
+	// decisions that see it skip p's latches instead of re-arming them.
 	p.deadBit.Store(true)
+	e.mc.FailPool(p.idx, e.now())
 	if p.core.Lifecycle() != nil {
 		// Quench emptied the warming/idle ledgers; republish the gauges and
 		// let armLifecycleLocked see there is no next event to arm.
@@ -49,14 +52,6 @@ func (e *Engine) FailPool(platformName string) error {
 	}
 	p.mu.Unlock()
 	e.cFaults.Inc(1)
-	e.waitObs.Forget(platformName)
-	e.balanceMu.Lock()
-	for k, l := range e.latches {
-		if k[0] == platformName || k[1] == platformName {
-			l.Reset()
-		}
-	}
-	e.balanceMu.Unlock()
 	// Wake everything: the dead pool's own workers must observe the death
 	// (and park), and peers have a backlog to rescue.
 	for _, d := range e.pools {
@@ -79,7 +74,7 @@ func (e *Engine) RecoverPool(platformName string) error {
 		p.mu.Unlock()
 		return nil
 	}
-	p.core.Recover(e.now())
+	e.mc.RecoverPool(p.idx, e.now())
 	p.deadBit.Store(false)
 	if p.core.Lifecycle() != nil {
 		// Unquench restarted warming; arm the timer at its ready instant.
@@ -98,7 +93,7 @@ func (e *Engine) PoolHealthy(platformName string) bool {
 	if !ok {
 		return false
 	}
-	return e.poolHealthy(p)
+	return p.Healthy()
 }
 
 // FailDrive marks a storage node down in every store that knows it: reads
@@ -254,12 +249,12 @@ func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, pa
 // falling back to a healthy DSCS pool whose execution runs unarbitrated.
 func (e *Engine) hedgePeer(p *pool) *pool {
 	for _, c := range e.spillCPU {
-		if c != p && e.poolHealthy(c) {
+		if c != p && c.Healthy() {
 			return c
 		}
 	}
 	for _, c := range e.dscsPools {
-		if c != p && e.poolHealthy(c) {
+		if c != p && c.Healthy() {
 			return c
 		}
 	}

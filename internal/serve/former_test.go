@@ -270,6 +270,32 @@ func TestPoolCoreStealFrom(t *testing.T) {
 	}
 }
 
+// TestPoolCoreStealFromAllocs pins the steal path's allocation discipline:
+// the moved tasks land in the thief's reused steal buffer, so a warmed
+// steal allocates nothing (it used to copy every steal into a fresh slice).
+func TestPoolCoreStealFromAllocs(t *testing.T) {
+	a, err := NewPoolCore(1, 64, sched.ClassDSCS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPoolCore(1, 64, sched.ClassCPU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		a.Submit(arrival(i, time.Duration(i)*time.Millisecond, "a", 10))
+	}
+	// Ping-pong the backlog so every run steals a full batch each way.
+	allocs := testing.AllocsPerRun(200, func() {
+		if len(b.StealFrom(a, 8)) != 8 || len(a.StealFrom(b, 8)) != 8 {
+			t.Fatal("steal moved a short batch")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StealFrom allocated %.2f times per ping-pong, want 0", allocs)
+	}
+}
+
 // TestSplitHybridCoreStealRebalances pins the split two-class layout on a
 // two-pool MultiCore: arrivals land on the DSCS backlog, the idle CPU pool
 // can only pull work by stealing, and stolen work dispatches on the thief.

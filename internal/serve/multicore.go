@@ -1,22 +1,23 @@
-// multicore.go is the N-pool scheduling core with per-pool backlogs, and
-// closes the load-balancing loop on *queue delay*: every pool owns its
-// backlog and workers (a PoolCore), and the core records each task's wait
-// time — arrival to dispatch — into a per-pool digest keyed {platform,
-// class} (metrics.Observatory). Those wait digests are what the adaptive
-// spillover/steal machinery consumes: instead of static queue-depth counts,
-// a pool is rebalanced away from when its adopted wait-p95 has diverged
-// above a peer's past the metrics hysteresis bands (Digest.Adopt's ratios
-// over one metrics.Latch per pool pair), and rebalanced toward while its
-// waits stay flat. Like the rest of the
-// scheduling core it owns no goroutines and no clock — the discrete-event
-// simulations drive it from virtual time, and the live engine applies the
-// same wait-gap decision (waitGapLatched) to its own goroutine-backed
-// pools.
+// multicore.go is the N-pool scheduling core with per-pool backlogs and
+// the one implementation of the balance policy: submit-time spill
+// (BalanceTarget), drain-time steal (StealDonor) and the dead-home
+// reroute, keyed either by static queue-depth thresholds or by *queue
+// delay*. Every pool owns its backlog and workers (a PoolCore), and the
+// core records each task's wait time — arrival to dispatch — into a
+// per-pool digest keyed {platform, class} (metrics.Observatory). Under
+// adaptive balance a pool is rebalanced away from when its adopted wait-p95
+// has diverged above a peer's past the metrics hysteresis bands
+// (Digest.Adopt's ratios over one latch per pool pair), and rebalanced
+// toward while its waits stay flat. Like the rest of the scheduling core it
+// owns no goroutines and no clock: the discrete-event simulations drive it
+// from virtual time, and the live engine calls these methods for every
+// spill, steal and wait-pricing decision of its goroutine-backed pools.
 
 package serve
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dscs/internal/metrics"
@@ -43,14 +44,56 @@ type PoolSpec struct {
 	Policy sched.Policy
 }
 
+// Balance arms a MultiCore's rebalancing policy (SetBalance). The zero
+// value keeps the pools isolated.
+type Balance struct {
+	// Adaptive keys spill and steal on the wait-p95 gap latch; Spill and
+	// Steal are then ignored.
+	Adaptive bool
+	// Spill reroutes a submission aimed at a DSCS-class pool to a healthy
+	// CPU-class pool once the DSCS backlog is this deep (0 disables).
+	Spill int
+	// Steal lets an idle pool pull the deepest other-class backlog deeper
+	// than this (0 disables).
+	Steal int
+	// SpillTo names the CPU-class pool spilled work prefers while it is
+	// healthy ("" picks per submission).
+	SpillTo string
+}
+
+// poolReader is how the balance policy reads one pool's health, backlog
+// depth and idleness (healthy, empty backlog, a free worker). A PoolCore
+// answers from its own fields; the live engine installs readers that
+// answer health and depth from lock-free mirrors and take the pool's lock
+// only for the idle check, never while holding another lock, so its spill
+// and steal scans never wait on one pool lock while holding another.
+type poolReader interface {
+	Healthy() bool
+	QueueLen() int
+	Idle() bool
+}
+
 // MultiCore is the N-pool scheduling state machine: per-pool backlogs and
 // workers with submit-time spillover and drain-time stealing between any
 // pair of pools, so multiple same-class pools (several CPU platforms, say)
-// rebalance with the same wait-keyed logic as a CPU/DSCS pair. Not safe for concurrent use on its own; callers
-// serialize access (the simulations are single-threaded).
+// rebalance with the same wait-keyed logic as a CPU/DSCS pair. The state
+// machine is not safe for concurrent use on its own: the simulations are
+// single-threaded, and the live engine drives each PoolCore under that
+// pool's lock. The balance decisions (BalanceTarget, StealDonor,
+// Overloaded, PricedWait, Idle, WarmedWait) are safe to call concurrently,
+// as is FailPool under the failing pool's lock: they read pools through
+// their readers and touch shared state only inside the leaf mutex.
 type MultiCore struct {
 	pools []*PoolCore
 	specs []PoolSpec
+	// read holds each pool's balance reader (the PoolCore itself unless
+	// the engine installed its own).
+	read    []poolReader
+	balance Balance
+	spillTo int // SpillTo's index, -1 when unset
+	// mu is a leaf lock guarding latches and faults: it is held only
+	// around those fields, never while a pool lock is acquired.
+	mu sync.Mutex
 	// waits is the queue-delay observatory keyed {platform, class}: each
 	// successful dispatch (and coalesce) records the served task's
 	// arrival→dispatch wait against the pool that served it — a stolen
@@ -82,6 +125,7 @@ func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 	seen := make(map[string]bool, len(specs))
 	m := &MultiCore{
 		specs:   append([]PoolSpec(nil), specs...),
+		spillTo: -1,
 		waits:   metrics.NewObservatory(0, 0),
 		warmup:  metrics.DefaultWarmup,
 		latches: make(map[[2]int]*metrics.Latch),
@@ -103,10 +147,12 @@ func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 		if policy == nil {
 			policy = sched.FCFSPolicy{}
 		}
-		m.pools = append(m.pools, &PoolCore{
+		p := &PoolCore{
 			queue: q, policy: policy, class: s.Class,
 			free: s.Workers, total: s.Workers,
-		})
+		}
+		m.pools = append(m.pools, p)
+		m.read = append(m.read, p)
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("serve: multi-pool core has no workers")
@@ -122,6 +168,39 @@ func (m *MultiCore) SetWaitTuning(window, warmup int) {
 	m.warmup = m.waits.Warmup()
 	m.latches = make(map[[2]int]*metrics.Latch)
 }
+
+// SetBalance arms the rebalancing policy. A SpillTo name must resolve to
+// a CPU-class pool, and a static Spill needs a CPU-class pool to land on.
+func (m *MultiCore) SetBalance(b Balance) error {
+	m.balance, m.spillTo = b, -1
+	if !b.Adaptive && b.Spill <= 0 {
+		return nil
+	}
+	if b.SpillTo != "" {
+		m.spillTo = m.Index(b.SpillTo)
+		if m.spillTo < 0 {
+			return fmt.Errorf("serve: unknown spillover target %q", b.SpillTo)
+		}
+		if m.specs[m.spillTo].Class != sched.ClassCPU {
+			return fmt.Errorf("serve: spillover target %q is not a CPU-class pool", b.SpillTo)
+		}
+	}
+	for _, s := range m.specs {
+		if s.Class == sched.ClassCPU {
+			return nil
+		}
+	}
+	if b.Spill > 0 {
+		// Adaptive balance alone simply never spills on such a lineup (it
+		// can still steal between same-class pools).
+		return fmt.Errorf("serve: spillover enabled with no CPU-class pool")
+	}
+	return nil
+}
+
+// readThrough installs the engine's pool readers (index-aligned with the
+// specs) before any traffic.
+func (m *MultiCore) readThrough(readers []poolReader) { m.read = readers }
 
 // Pools reports the pool count.
 func (m *MultiCore) Pools() int { return len(m.pools) }
@@ -209,14 +288,21 @@ func (m *MultiCore) Complete(i, n int) { m.pools[i].Complete(n) }
 // and every hysteresis latch involving it is released without counting a
 // flip, so spill/steal decisions re-derive from live evidence instead of
 // the grave's history. Idempotent while dead.
+//
+// The live engine calls it under pool i's lock, after publishing the
+// death to pool i's reader, so decisions that see the death skip its
+// latches (Overloaded answers for dead pools without one) instead of
+// re-arming what the reset below releases.
 func (m *MultiCore) FailPool(i int, now time.Duration) {
 	p := m.pools[i]
 	if !p.Healthy() {
 		return
 	}
 	p.Fail(now)
-	m.faults++
 	m.waits.Forget(m.specs[i].Name)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.faults++
 	for k, l := range m.latches {
 		if k[0] == i || k[1] == i {
 			l.Reset()
@@ -232,7 +318,7 @@ func (m *MultiCore) RecoverPool(i int, now time.Duration) {
 }
 
 // Healthy reports whether pool i is dispatching.
-func (m *MultiCore) Healthy(i int) bool { return m.pools[i].Healthy() }
+func (m *MultiCore) Healthy(i int) bool { return m.read[i].Healthy() }
 
 // Requeue returns one execution's in-flight tasks to pool i's queue (see
 // PoolCore.Requeue — at-most-once accounting, arrival order preserved).
@@ -241,9 +327,14 @@ func (m *MultiCore) Requeue(i int, tasks []sched.HybridTask) {
 	m.requeued += len(tasks)
 }
 
-// Faults counts FailPool transitions; Requeued counts tasks returned to
-// their queue across the pool set.
-func (m *MultiCore) Faults() int   { return m.faults }
+// Faults counts FailPool transitions.
+func (m *MultiCore) Faults() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.faults
+}
+
+// Requeued counts tasks returned to their queue across the pool set.
 func (m *MultiCore) Requeued() int { return m.requeued }
 
 // Steal moves up to max of pool from's oldest queued tasks onto pool to's
@@ -310,6 +401,16 @@ func (m *MultiCore) WaitQuantileOf(i int, q float64) time.Duration {
 	return 0
 }
 
+// WarmedWait reads pool i's windowed wait-p95 once its digest holds a
+// warmup's worth of dispatches (0 before) — the wait signal the
+// autoscalers and the engine's balance wakeups share.
+func (m *MultiCore) WarmedWait(i int) time.Duration {
+	if dg := m.WaitDigest(i); dg != nil && dg.Count() >= m.warmup {
+		return dg.Quantile(WaitQuantile)
+	}
+	return 0
+}
+
 // Overloaded is the adaptive-balance trigger: it reports whether pool
 // from's adopted wait-p95 has diverged above pool to's past the hysteresis
 // latch (warmup, then enter at 1.5x, release within 1.2x), so the decision
@@ -324,17 +425,39 @@ func (m *MultiCore) WaitQuantileOf(i int, q float64) time.Duration {
 // warmup, or any digest evidence (a dead pool's digest was forgotten
 // anyway).
 func (m *MultiCore) Overloaded(from, to int) bool {
-	if !m.Healthy(to) {
+	if !m.read[to].Healthy() {
 		return false
 	}
-	if !m.Healthy(from) {
-		return m.pools[from].QueueLen() > 0
+	if !m.read[from].Healthy() {
+		return m.read[from].QueueLen() > 0
 	}
-	return waitGapLatched(m.WaitDigest(from), m.latch(from, to), m.peerWait(to), m.warmup)
+	return m.waitGapLatched(from, to)
+}
+
+// waitGapLatched is the wait-keyed balance decision: whether from's
+// adopted wait-p95 has diverged above to's priced wait past the pair's
+// hysteresis latch. It applies the Digest.Adopt bands one-sidedly
+// (Latch.Above): below warmup nothing moves, and once warmed the latch
+// enters at AdoptEnterRatio and releases within AdoptExitRatio — only
+// upward divergence ever arms it. A peer priced at zero (idle, or never
+// waited) adopts any warmed positive donor wait outright: queueing beside
+// an idle pool is the clearest imbalance there is. A donor whose recent
+// window holds no waits (p95 zero — work dispatches on arrival) never
+// trips the latch, which is exactly the wait-keyed sensitivity the static
+// depth counts lack. Both waits are read before the leaf lock is taken.
+func (m *MultiCore) waitGapLatched(from, to int) bool {
+	dg := m.WaitDigest(from)
+	if dg == nil || dg.Count() < m.warmup {
+		return false
+	}
+	donor, peer := dg.Quantile(WaitQuantile), m.peerWait(to)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.latch(from, to).Above(donor, peer)
 }
 
 // latch returns the directed (from, to) pair's adoption latch, created on
-// first use.
+// first use. Callers hold m.mu.
 func (m *MultiCore) latch(from, to int) *metrics.Latch {
 	k := [2]int{from, to}
 	l := m.latches[k]
@@ -354,22 +477,21 @@ func (m *MultiCore) latch(from, to int) *metrics.Latch {
 // one rescue inflates the rescuer's p95 to the donor's level and the latch
 // never re-enters while the backlog regrows.
 //
-// The health bit is checked before the idle fast path: a dead pool's
-// empty backlog and freed workers look exactly like idleness ("idle →
-// 0 wait") and would make it the most attractive target in every
-// ranking, so it prices at its digest instead — and since FailPool
-// forgot that digest, selection must additionally skip dead pools
-// (BalanceTarget does; Overloaded refuses dead peers outright).
+// Idle includes health: a dead pool's empty backlog and freed workers
+// look exactly like idleness ("idle → 0 wait") and would make it the most
+// attractive target in every ranking, so it prices at its digest instead —
+// and since FailPool forgot that digest, selection must additionally skip
+// dead pools (the spill scan does; Overloaded refuses dead peers
+// outright).
 func (m *MultiCore) peerWait(i int) time.Duration {
-	p := m.pools[i]
-	if p.Healthy() && p.QueueLen() == 0 && p.free > 0 {
+	if m.read[i].Idle() {
 		return 0
 	}
 	return m.WaitQuantileOf(i, WaitQuantile)
 }
 
 // PricedWait exposes peerWait's pricing to external placement policies —
-// the workflow locality placer ranks fallback pools with the same signal
+// the workflow locality placers rank fallback pools with the same signal
 // the balance machinery uses, so "least-priced wait" means one thing
 // everywhere.
 func (m *MultiCore) PricedWait(i int) time.Duration { return m.peerWait(i) }
@@ -377,68 +499,121 @@ func (m *MultiCore) PricedWait(i int) time.Duration { return m.peerWait(i) }
 // Idle reports whether pool i could serve new work immediately: healthy,
 // empty backlog, free worker — the locality placer's keep-it-local fast
 // path.
-func (m *MultiCore) Idle(i int) bool {
-	p := m.pools[i]
-	return p.Healthy() && p.QueueLen() == 0 && p.free > 0
+func (m *MultiCore) Idle(i int) bool { return m.read[i].Idle() }
+
+// BalanceTarget picks the pool a submission aimed at pool from should land
+// on instead. Only DSCS-class pools spill, only onto healthy CPU-class
+// pools (SpillTo first while it is healthy, ties to the lowest index), and
+// only while some balancing is armed:
+//
+//   - a dead from pool reroutes every submission to the least-queued
+//     target — anything admitted to it waits for recovery or rescue;
+//   - adaptive balance picks the target with the lowest priced wait
+//     (peerWait: an idle pool prices at zero however contaminated its
+//     digest) and spills once from's wait gap over it has latched; a from
+//     pool with an empty backlog never spills — the submission dispatches
+//     immediately anyway, and microscopic warmed waits beside a
+//     never-waited peer must not reroute it;
+//   - the static threshold spills to the least-queued target once from's
+//     backlog is Spill deep.
+func (m *MultiCore) BalanceTarget(from int) (int, bool) {
+	b := &m.balance
+	if m.specs[from].Class != sched.ClassDSCS || !(b.Adaptive || b.Spill > 0) {
+		return 0, false
+	}
+	src := m.read[from]
+	switch {
+	case !src.Healthy():
+		return m.spillPeer(false)
+	case b.Adaptive:
+		if src.QueueLen() == 0 {
+			return 0, false
+		}
+		to, ok := m.spillPeer(true)
+		if !ok || !m.Overloaded(from, to) {
+			return 0, false
+		}
+		return to, true
+	case src.QueueLen() >= b.Spill:
+		return m.spillPeer(false)
+	}
+	return 0, false
 }
 
-// BalanceTarget picks the pool a submission aimed at from should spill to:
-// the eligible peer with the lowest priced wait (peerWait — an idle pool
-// prices at zero however contaminated its digest; ties to the lowest
-// index), but only when from's adopted wait-p95 gap over that peer has
-// latched. A spill routes around a backlog, so a from pool with an empty
-// queue never spills — without work queued ahead of it the submission
-// dispatches immediately anyway, and microscopic warmed waits beside a
-// never-waited peer must not reroute it. A nil eligible accepts every
-// other pool.
-func (m *MultiCore) BalanceTarget(from int, eligible func(int) bool) (int, bool) {
-	if m.pools[from].QueueLen() == 0 {
-		return 0, false
+// spillPeer picks the healthy CPU-class pool spilled work lands on: the
+// SpillTo pool while it is healthy, else the one with the lowest priced
+// wait (byWait) or the shortest backlog, ties to the lowest index.
+// Ranking by raw depth or digest p95 under adaptive balance would let a
+// shallow-but-slow (or rescue-contaminated idle) pool shadow a genuinely
+// cheap one.
+func (m *MultiCore) spillPeer(byWait bool) (int, bool) {
+	if t := m.spillTo; t >= 0 && m.read[t].Healthy() {
+		return t, true
 	}
 	best, found := 0, false
-	var bestWait time.Duration
-	for i := range m.pools {
-		if i == from || (eligible != nil && !eligible(i)) || !m.Healthy(i) {
+	var bestKey int64
+	for i, r := range m.read {
+		if m.specs[i].Class != sched.ClassCPU || !r.Healthy() {
 			continue
 		}
-		// Rank by the same pricing the Overloaded gate applies: ranking by
-		// raw digest p95 would let a rescue-contaminated idle pool sort
-		// last and never be selected.
-		w := m.peerWait(i)
-		if !found || w < bestWait {
-			best, bestWait, found = i, w, true
+		key := int64(r.QueueLen())
+		if byWait {
+			key = int64(m.peerWait(i))
+		}
+		if !found || key < bestKey {
+			best, bestKey, found = i, key, true
 		}
 	}
-	if !found || !m.Overloaded(from, best) {
-		return 0, false
-	}
-	return best, true
+	return best, found
 }
 
-// StealDonor picks the pool an idle thief should pull queued work from: the
-// eligible peer with the deepest backlog whose adopted wait-p95 gap over
-// the thief has latched. A nil eligible accepts every other pool. A dead
-// thief never steals; a dead donor with a backlog always qualifies
-// (Overloaded's dead-donor fast path) — stealing is how its orphans get
-// rescued.
-func (m *MultiCore) StealDonor(to int, eligible func(int) bool) (int, bool) {
-	if !m.Healthy(to) {
-		return 0, false
+// StealDonor picks the pool idle thief to should pull queued work from —
+// the deepest eligible backlog, ties to the lowest index — and reports
+// surplus, how much of that backlog lies above the donor's floor. A dead
+// thief never steals. Adaptive balance accepts any peer (same class
+// included) whose wait gap over the thief has latched; the static
+// threshold accepts other-class peers deeper than Steal. A dead donor with
+// a backlog always qualifies, whatever its class and depth — stealing is
+// how its orphans get rescued.
+func (m *MultiCore) StealDonor(to int) (from, surplus int, ok bool) {
+	b := &m.balance
+	if !(b.Adaptive || b.Steal > 0) || !m.read[to].Healthy() {
+		return 0, 0, false
 	}
-	donor, found := 0, false
 	deepest := 0
-	for i, p := range m.pools {
-		if i == to || (eligible != nil && !eligible(i)) || p.QueueLen() == 0 {
+	for i, r := range m.read {
+		if i == to {
 			continue
 		}
-		if !m.Overloaded(i, to) {
+		depth := r.QueueLen()
+		if depth == 0 {
 			continue
 		}
-		if !found || p.QueueLen() > deepest {
-			donor, deepest, found = i, p.QueueLen(), true
+		if b.Adaptive {
+			if !m.Overloaded(i, to) {
+				continue
+			}
+		} else if r.Healthy() && (m.specs[i].Class == m.specs[to].Class || depth <= b.Steal) {
+			continue
+		}
+		if depth > deepest {
+			from, deepest, ok = i, depth, true
 		}
 	}
-	return donor, found
+	if !ok {
+		return 0, 0, false
+	}
+	return from, deepest - m.stealFloor(from), true
+}
+
+// stealFloor is the backlog a steal leaves on donor i: the static Steal
+// depth for a live donor, nothing under adaptive balance or from a dead
+// pool.
+func (m *MultiCore) stealFloor(i int) int {
+	if m.balance.Adaptive || !m.read[i].Healthy() {
+		return 0
+	}
+	return m.balance.Steal
 }
 
 // QueueLen totals queue occupancy across pools.
@@ -504,23 +679,4 @@ func (m *MultiCore) running() int {
 		n += p.Running()
 	}
 	return n
-}
-
-// waitGapLatched is the shared wait-keyed balance decision: whether donor's
-// adopted wait-p95 has diverged above the peer's priced wait past the
-// hysteresis latch. It applies the Digest.Adopt bands one-sidedly
-// (metrics.Latch.Above) over a latch owned by the (donor, peer) pair:
-// below warmup nothing moves, and once warmed the latch enters at
-// AdoptEnterRatio and releases within AdoptExitRatio — only upward
-// divergence ever arms it. A peer priced at zero (idle, or never waited)
-// adopts any warmed positive donor wait outright: queueing beside an idle
-// pool is the clearest imbalance there is. A donor whose recent window
-// holds no waits (p95 zero — work dispatches on arrival) never trips the
-// latch, which is exactly the wait-keyed sensitivity the static depth
-// counts lack.
-func waitGapLatched(donor *metrics.Digest, latch *metrics.Latch, peerWait time.Duration, warmup int64) bool {
-	if donor == nil || donor.Count() < warmup {
-		return false
-	}
-	return latch.Above(donor.Quantile(WaitQuantile), peerWait)
 }

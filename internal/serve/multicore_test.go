@@ -351,6 +351,9 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 			return err
 		}
 		mc.SetWaitTuning(16, 4)
+		if err := mc.SetBalance(Balance{Adaptive: true}); err != nil {
+			return err
+		}
 		now := time.Duration(0)
 		nextID := 0
 		dispatched := map[int]bool{}
@@ -418,7 +421,7 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 				}
 			case 6: // wait-keyed steal: whatever the latch picks must hold up
 				to := op.b % pools
-				if from, ok := mc.StealDonor(to, nil); ok {
+				if from, _, ok := mc.StealDonor(to); ok {
 					moved := mc.Steal(from, to, 1+op.a%4)
 					for _, tk := range moved {
 						if dispatched[tk.ID] {

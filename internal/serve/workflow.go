@@ -198,10 +198,10 @@ func (e *Engine) placeStage(store *objstore.Store, domKey string) (p *pool, loca
 	var homeWait time.Duration
 	if _, _, ok := store.DSCSReplicaHealthy(domKey); ok {
 		for _, c := range e.dscsPools {
-			if !e.poolHealthy(c) {
+			if !c.Healthy() {
 				continue
 			}
-			if w := e.pricedWait(c); home == nil || w < homeWait {
+			if w := e.mc.PricedWait(c.idx); home == nil || w < homeWait {
 				home, homeWait = c, w
 			}
 		}
@@ -213,10 +213,10 @@ func (e *Engine) placeStage(store *objstore.Store, domKey string) (p *pool, loca
 	var bestWait time.Duration
 	scan := func(cands []*pool) {
 		for _, c := range cands {
-			if !e.poolHealthy(c) {
+			if !c.Healthy() {
 				continue
 			}
-			if w := e.pricedWait(c); best == nil || w < bestWait {
+			if w := e.mc.PricedWait(c.idx); best == nil || w < bestWait {
 				best, bestWait = c, w
 			}
 		}
