@@ -423,7 +423,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	}
 	bm := dscs.BenchmarkBySlug("asset-damage")
 	opt := dscs.InvokeOptions{Quantile: 0.5}
-	// Warm the program cache so both disciplines measure steady state.
+	// Warm the platform's compile memo so both disciplines measure steady state.
 	if _, err := env.DSCS().Invoke(bm, opt); err != nil {
 		b.Fatal(err)
 	}

@@ -92,10 +92,12 @@ func NewEnvironment(seed uint64) (*Environment, error) {
 	return experiments.NewEnvironment(seed)
 }
 
-// Suite returns the eight Table 1 benchmarks.
+// Suite returns the eight Table 1 benchmarks. They are shared, read-only
+// instances built once per process; copy a benchmark before changing it.
 func Suite() []*Benchmark { return workload.Suite() }
 
-// BenchmarkBySlug returns one benchmark by its machine name, or nil.
+// BenchmarkBySlug returns one benchmark by its machine name, or nil. The
+// result is the shared, read-only instance Suite returns.
 func BenchmarkBySlug(slug string) *Benchmark { return workload.BySlug(slug) }
 
 // Models returns the zoo behind the suite, keyed by architecture name.

@@ -134,6 +134,32 @@ func TestDeploymentYAMLForSuite(t *testing.T) {
 	}
 }
 
+// TestAppForMemoizedBySlug pins the per-slug deployment cache: a warm
+// slug returns the one shared Application without parsing or allocating,
+// and an invalid benchmark keeps failing with the parser's error.
+func TestAppForMemoizedBySlug(t *testing.T) {
+	b := workload.BySlug("clinical")
+	first, err := AppFor(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := AppFor(b); again != first {
+		t.Error("a second AppFor for the same slug parsed a new Application")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = AppFor(b) }); allocs != 0 {
+		t.Errorf("warm AppFor allocates %.1f objects per call, want 0", allocs)
+	}
+
+	invalid := *b
+	invalid.Slug = ""
+	_, want := ParseApplication(DeploymentYAML(&invalid))
+	for i := 0; i < 2; i++ {
+		if app, err := AppFor(&invalid); app != nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("AppFor(empty slug) call %d = %v, %v; want error %v", i, app, err, want)
+		}
+	}
+}
+
 func TestApplicationValidation(t *testing.T) {
 	app := &Application{Name: "x", Chain: []string{"missing"}, Functions: map[string]*FunctionSpec{}}
 	if err := app.Validate(); err == nil {

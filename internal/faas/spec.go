@@ -6,6 +6,7 @@ package faas
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"dscs/internal/units"
@@ -146,7 +147,22 @@ func DeploymentYAML(b *workload.Benchmark) string {
 	return sb.String()
 }
 
-// AppFor parses the default deployment for a benchmark.
+// apps memoizes AppFor: slug -> *Application.
+var apps sync.Map
+
+// AppFor parses the default deployment for a benchmark. DeploymentYAML
+// reads only b.Slug, so the Application is parsed once per slug and
+// shared by every later call: callers must treat it as read-only. An
+// invalid benchmark is not cached and fails with the parse error each
+// time.
 func AppFor(b *workload.Benchmark) (*Application, error) {
-	return ParseApplication(DeploymentYAML(b))
+	if app, ok := apps.Load(b.Slug); ok {
+		return app.(*Application), nil
+	}
+	app, err := ParseApplication(DeploymentYAML(b))
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := apps.LoadOrStore(b.Slug, app)
+	return shared.(*Application), nil
 }

@@ -3,10 +3,15 @@
 // that stripes logical pages across the array for parallelism, and a
 // latency model that accounts for die-level overlap and channel bus
 // serialization — the substrate the DSCS-Drive's P2P path reads from.
+//
+// The FTL's allocation has a closed form (the g-th page ever programmed
+// goes to die g mod D), so the map is a list of extents, and every Read
+// and Write costs O(extents touched × dies) regardless of its size.
 package flash
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dscs/internal/units"
@@ -84,20 +89,41 @@ type PPA struct {
 	Channel, Die, Plane, Block, Page int
 }
 
+// extent records that logical pages [lpn, lpn+n) were programmed as the
+// consecutive global program sequence numbers [seq, seq+n).
+type extent struct {
+	lpn, n, seq int64
+}
+
+func (e extent) end() int64 { return e.lpn + e.n }
+
 // Array is the flash array with its FTL state. Not safe for concurrent use;
 // the drive serializes access as real controllers do per queue pair.
+//
+// The FTL allocates append-only on the least-written die, lowest index
+// first (dynamic wear leveling; steady-state GC cost is folded into
+// ProgramLatency). From an empty array that rule is a closed form: the g-th
+// page ever programmed lands on die g mod D at per-die sequence g / D, for
+// D dies. So the mapping is kept as extents instead of per-page entries: a
+// sorted, non-overlapping list of logical runs, each programmed as one run
+// of global sequence numbers. A write trims or splits the extents it
+// overlaps and inserts one new extent; a read counts per-die residues of
+// each extent it overlaps. Both cost O(extents touched × dies), not
+// O(pages).
 type Array struct {
 	geo Geometry
 
-	// FTL: logical page number -> physical page address.
-	l2p map[int64]PPA
-	// next physical page cursor per die (simple append-only allocation;
-	// steady-state GC cost is folded into ProgramLatency).
-	cursor []int64
+	// extents is the logical-to-physical map, sorted by lpn.
+	extents []extent
+	// programmed is the global program sequence: pages ever written.
+	programmed int64
+	// mapped counts live logical pages.
+	mapped int64
 	// invalidated counts pages made stale by overwrites.
 	invalidated int64
-	// programs counts page writes per die for wear accounting.
-	programs []int64
+
+	// Read's per-die and per-channel page counts, reused across calls.
+	perDie, perChannel []int64
 }
 
 // NewArray returns an array with an empty FTL.
@@ -106,10 +132,9 @@ func NewArray(geo Geometry) (*Array, error) {
 		return nil, err
 	}
 	return &Array{
-		geo:      geo,
-		l2p:      make(map[int64]PPA),
-		cursor:   make([]int64, geo.totalDies()),
-		programs: make([]int64, geo.totalDies()),
+		geo:        geo,
+		perDie:     make([]int64, geo.totalDies()),
+		perChannel: make([]int64, geo.Channels),
 	}, nil
 }
 
@@ -124,35 +149,45 @@ func (a *Array) pagesFor(n units.Bytes) int64 {
 	return int64((n + a.geo.PageSize - 1) / a.geo.PageSize)
 }
 
-// dieIndex flattens a channel/die pair.
-func (a *Array) dieIndex(channel, die int) int {
-	return channel*a.geo.DiesPerChannel + die
+// firstEnding returns the index of the first extent that ends after lpn.
+func (a *Array) firstEnding(lpn int64) int {
+	i, _ := slices.BinarySearchFunc(a.extents, lpn, func(e extent, lpn int64) int {
+		if e.end() <= lpn {
+			return -1
+		}
+		return 1
+	})
+	return i
 }
 
-// allocate assigns the next physical page on the least-written die,
-// striping load across the whole array (dynamic wear leveling).
-func (a *Array) allocate() (PPA, int) {
-	best := 0
-	for i := 1; i < len(a.cursor); i++ {
-		if a.cursor[i] < a.cursor[best] {
-			best = i
-		}
-	}
-	seq := a.cursor[best]
-	a.cursor[best]++
-	a.programs[best]++
+// ppaOf places global program sequence number g: die g mod D, and within
+// the die its sequence g / D striped over planes, blocks and pages.
+func (a *Array) ppaOf(g int64) PPA {
+	dies := int64(a.geo.totalDies())
+	die := int(g % dies)
+	seq := g / dies
 	pagesPerPlane := int64(a.geo.PagesPerBlock) * int64(a.geo.BlocksPerPlane)
 	plane := int(seq/int64(a.geo.PagesPerBlock)) % a.geo.PlanesPerDie
 	within := seq % (pagesPerPlane * int64(a.geo.PlanesPerDie))
 	block := int(within/int64(a.geo.PagesPerBlock)) % a.geo.BlocksPerPlane
 	page := int(seq % int64(a.geo.PagesPerBlock))
 	return PPA{
-		Channel: best / a.geo.DiesPerChannel,
-		Die:     best % a.geo.DiesPerChannel,
+		Channel: die / a.geo.DiesPerChannel,
+		Die:     die % a.geo.DiesPerChannel,
 		Plane:   plane,
 		Block:   block,
 		Page:    page,
-	}, best
+	}
+}
+
+// lookup returns the physical page a logical page is mapped to.
+func (a *Array) lookup(lpn int64) (PPA, bool) {
+	i := a.firstEnding(lpn)
+	if i == len(a.extents) || a.extents[i].lpn > lpn {
+		return PPA{}, false
+	}
+	e := a.extents[i]
+	return a.ppaOf(e.seq + lpn - e.lpn), true
 }
 
 // Write programs the logical pages backing [lpnStart, lpnStart+pages) and
@@ -161,17 +196,46 @@ func (a *Array) Write(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	perDie := make([]int64, a.geo.totalDies())
-	for i := int64(0); i < pages; i++ {
-		lpn := lpnStart + i
-		if _, ok := a.l2p[lpn]; ok {
-			a.invalidated++
-		}
-		ppa, die := a.allocate()
-		a.l2p[lpn] = ppa
-		perDie[die]++
+	end := lpnStart + pages
+	i := a.firstEnding(lpnStart)
+	j := i
+	for ; j < len(a.extents) && a.extents[j].lpn < end; j++ {
+		e := a.extents[j]
+		stale := min(e.end(), end) - max(e.lpn, lpnStart)
+		a.invalidated += stale
+		a.mapped -= stale
 	}
-	lat := a.opLatency(perDie, a.geo.ProgramLatency)
+
+	// The overlapped run [i, j) becomes: the untouched head of extents[i],
+	// the new extent, the untouched tail of extents[j-1].
+	var repl [3]extent
+	m := 0
+	if i < j && a.extents[i].lpn < lpnStart {
+		e := a.extents[i]
+		repl[m] = extent{lpn: e.lpn, n: lpnStart - e.lpn, seq: e.seq}
+		m++
+	}
+	if m == 0 && i > 0 && a.extents[i-1].end() == lpnStart &&
+		a.extents[i-1].seq+a.extents[i-1].n == a.programmed {
+		// Sequential continuation of the last write: grow it in place.
+		a.extents[i-1].n += pages
+	} else {
+		repl[m] = extent{lpn: lpnStart, n: pages, seq: a.programmed}
+		m++
+	}
+	if i < j && a.extents[j-1].end() > end {
+		e := a.extents[j-1]
+		repl[m] = extent{lpn: end, n: e.end() - end, seq: e.seq + end - e.lpn}
+		m++
+	}
+	a.extents = slices.Replace(a.extents, i, j, repl[:m]...)
+	a.programmed += pages
+	a.mapped += pages
+
+	// Consecutive sequence numbers round-robin the dies, so the deepest
+	// die queue holds ceil(pages/D) programs.
+	dies := int64(a.geo.totalDies())
+	lat := time.Duration((pages+dies-1)/dies) * a.geo.ProgramLatency
 	energy := units.Energy(float64(pages)*float64(a.geo.PageSize)) * a.geo.WriteEnergyPerByte
 	return lat, energy
 }
@@ -189,23 +253,39 @@ func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	perChannel := make([]int64, a.geo.Channels)
-	perDie := make([]int64, a.geo.totalDies())
+	clear(a.perDie)
+	clear(a.perChannel)
+	end := lpnStart + pages
+	dies := int64(len(a.perDie))
 	var mapped int64
-	for i := int64(0); i < pages; i++ {
-		ppa, ok := a.l2p[lpnStart+i]
-		if !ok {
-			continue
+	for i := a.firstEnding(lpnStart); i < len(a.extents) && a.extents[i].lpn < end; i++ {
+		e := a.extents[i]
+		lo := max(e.lpn, lpnStart)
+		n := min(e.end(), end) - lo
+		mapped += n
+		// Sequence numbers [s, s+n) cover every die n/D times and the
+		// n mod D dies starting at s mod D once more.
+		if full := n / dies; full > 0 {
+			for d := range a.perDie {
+				a.perDie[d] += full
+			}
 		}
-		mapped++
-		perChannel[ppa.Channel]++
-		perDie[a.dieIndex(ppa.Channel, ppa.Die)]++
+		d := int((e.seq + lo - e.lpn) % dies)
+		for k := n % dies; k > 0; k-- {
+			a.perDie[d]++
+			if d++; d == len(a.perDie) {
+				d = 0
+			}
+		}
 	}
 	if mapped == 0 {
 		// Zero-fill read: controller-only, a page transfer worth of work.
 		return a.geo.pageXfer(), 0
 	}
-	lat := a.readLatency(perChannel, perDie)
+	for d, q := range a.perDie {
+		a.perChannel[d/a.geo.DiesPerChannel] += q
+	}
+	lat := a.readLatency(a.perChannel, a.perDie)
 	energy := units.Energy(float64(mapped)*float64(a.geo.PageSize)) * a.geo.ReadEnergyPerByte
 	return lat, energy
 }
@@ -229,14 +309,14 @@ func (a *Array) readLatency(perChannel, perDie []int64) time.Duration {
 		}
 		// Deepest die queue on this channel bounds the sensing pipeline.
 		var deepest int64
-		for d := 0; d < a.geo.DiesPerChannel; d++ {
-			if q := perDie[a.dieIndex(ch, d)]; q > deepest {
+		for _, q := range perDie[ch*a.geo.DiesPerChannel : (ch+1)*a.geo.DiesPerChannel] {
+			if q > deepest {
 				deepest = q
 			}
 		}
 		sense := time.Duration(deepest) * a.geo.ReadLatency
 		bus := time.Duration(pages) * a.geo.pageXfer()
-		total := a.geo.ReadLatency + maxDur(sense-a.geo.ReadLatency, bus)
+		total := a.geo.ReadLatency + max(sense-a.geo.ReadLatency, bus)
 		if total > worst {
 			worst = total
 		}
@@ -244,36 +324,18 @@ func (a *Array) readLatency(perChannel, perDie []int64) time.Duration {
 	return worst
 }
 
-// opLatency is the program/erase analogue: per-die serialization dominates
-// because program time far exceeds bus time.
-func (a *Array) opLatency(perDie []int64, per time.Duration) time.Duration {
-	var deepest int64
-	for _, q := range perDie {
-		if q > deepest {
-			deepest = q
-		}
-	}
-	return time.Duration(deepest) * per
-}
-
 // MappedPages reports how many logical pages are live.
-func (a *Array) MappedPages() int64 { return int64(len(a.l2p)) }
+func (a *Array) MappedPages() int64 { return a.mapped }
 
 // InvalidatedPages reports pages made stale by overwrites.
 func (a *Array) InvalidatedPages() int64 { return a.invalidated }
 
 // WearSpread returns max/min die program counts (1.0 is perfectly even);
-// returns 1 when nothing has been written.
+// returns 1 when nothing has been written. Round-robin allocation leaves
+// every die at floor or ceil of programmed/D.
 func (a *Array) WearSpread() float64 {
-	minW, maxW := int64(-1), int64(0)
-	for _, w := range a.programs {
-		if minW < 0 || w < minW {
-			minW = w
-		}
-		if w > maxW {
-			maxW = w
-		}
-	}
+	dies := int64(a.geo.totalDies())
+	minW, maxW := a.programmed/dies, (a.programmed+dies-1)/dies
 	if maxW == 0 {
 		return 1
 	}
@@ -294,11 +356,4 @@ func (g Geometry) SustainedReadBW() units.Bandwidth {
 		per = busRate
 	}
 	return units.Bandwidth(per * float64(g.Channels))
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package flash
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,7 +152,7 @@ func TestMappingUniquenessProperty(t *testing.T) {
 	a.Write(0, 2000)
 	seen := make(map[PPA]bool)
 	for lpn := int64(0); lpn < 2000; lpn++ {
-		ppa, ok := a.l2p[lpn]
+		ppa, ok := a.lookup(lpn)
 		if !ok {
 			t.Fatalf("lpn %d unmapped", lpn)
 		}
@@ -176,5 +178,129 @@ func TestPagesForProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// smallGeometry is a 3-channel × 5-die array with tiny blocks, so the
+// die count is odd and per-die sequences wrap planes and blocks quickly.
+func smallGeometry() Geometry {
+	g := SmartSSDClass()
+	g.Channels, g.DiesPerChannel = 3, 5
+	g.PagesPerBlock, g.BlocksPerPlane = 4, 3
+	return g
+}
+
+type ftlOp struct {
+	write      bool
+	lpn, pages int64
+}
+
+// checkFTL replays ops on the extent-mapped Array and on the per-page
+// reference, and reports the first difference: an op's latency or energy,
+// a broken extent invariant, a counter, or the physical page of any
+// logical page up to span.
+func checkFTL(geo Geometry, ops []ftlOp, span int64) error {
+	a, err := NewArray(geo)
+	if err != nil {
+		return err
+	}
+	ref := newRefArray(geo)
+	for k, op := range ops {
+		var lat, refLat time.Duration
+		var energy, refEnergy units.Energy
+		if op.write {
+			lat, energy = a.Write(op.lpn, op.pages)
+			refLat, refEnergy = ref.Write(op.lpn, op.pages)
+		} else {
+			lat, energy = a.Read(op.lpn, op.pages)
+			refLat, refEnergy = ref.Read(op.lpn, op.pages)
+		}
+		if lat != refLat || energy != refEnergy {
+			return fmt.Errorf("op %d %+v: got (%v, %v), reference (%v, %v)", k, op, lat, energy, refLat, refEnergy)
+		}
+		for i, e := range a.extents {
+			if e.n <= 0 || (i > 0 && a.extents[i-1].end() > e.lpn) {
+				return fmt.Errorf("op %d %+v: extents not sorted and disjoint: %+v", k, op, a.extents)
+			}
+		}
+	}
+	if a.MappedPages() != ref.MappedPages() || a.InvalidatedPages() != ref.InvalidatedPages() ||
+		a.WearSpread() != ref.WearSpread() {
+		return fmt.Errorf("counters mapped/invalidated/wear = %d/%d/%v, reference %d/%d/%v",
+			a.MappedPages(), a.InvalidatedPages(), a.WearSpread(),
+			ref.MappedPages(), ref.InvalidatedPages(), ref.WearSpread())
+	}
+	for lpn := int64(-1); lpn <= span; lpn++ {
+		ppa, ok := a.lookup(lpn)
+		refPPA, refOK := ref.l2p[lpn]
+		if ppa != refPPA || ok != refOK {
+			return fmt.Errorf("lookup(%d) = %+v, %v; reference %+v, %v", lpn, ppa, ok, refPPA, refOK)
+		}
+	}
+	return nil
+}
+
+// TestFTLMatchesReference pins the extent map to the per-page FTL it
+// replaced: seeded random runs of overlapping reads and writes, sized
+// below, at and above the die count, on the drive's geometry and an odd
+// one.
+func TestFTLMatchesReference(t *testing.T) {
+	for _, geo := range []Geometry{SmartSSDClass(), smallGeometry()} {
+		dies := int64(geo.totalDies())
+		span := 4 * dies
+		for seed := int64(0); seed < 200; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ops := make([]ftlOp, 60)
+			for i := range ops {
+				ops[i] = ftlOp{
+					write: rng.Intn(2) == 0,
+					lpn:   rng.Int63n(span),
+					pages: rng.Int63n(3 * dies),
+				}
+			}
+			if err := checkFTL(geo, ops, span+3*dies); err != nil {
+				t.Fatalf("%dx%d dies, seed %d: %v", geo.Channels, geo.DiesPerChannel, seed, err)
+			}
+		}
+	}
+}
+
+// FuzzFTLOps runs the reference comparison over arbitrary op sequences:
+// the first byte picks the geometry, then three bytes per op give its
+// kind, start page and length.
+func FuzzFTLOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 40, 1, 0, 40, 0, 10, 5, 1, 0, 80})
+	f.Add([]byte{1, 0, 3, 7, 0, 5, 2, 0, 1, 30, 1, 0, 63, 0, 6, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		geo := SmartSSDClass()
+		if data[0]&1 == 1 {
+			geo = smallGeometry()
+		}
+		var ops []ftlOp
+		for b := data[1:]; len(b) >= 3; b = b[3:] {
+			ops = append(ops, ftlOp{write: b[0]&1 == 0, lpn: int64(b[1] % 96), pages: int64(b[2] % 100)})
+		}
+		if err := checkFTL(geo, ops, 200); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestArrayOpsDoNotAllocate pins the FTL's cost to the extents touched: a
+// read over several extents and an overwrite of an existing extent
+// allocate nothing.
+func TestArrayOpsDoNotAllocate(t *testing.T) {
+	a := newArray(t)
+	for i := int64(0); i < 8; i++ {
+		a.Write(i*100, 90)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.Read(50, 500) }); allocs != 0 {
+		t.Errorf("Read allocates %.1f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.Write(210, 40) }); allocs != 0 {
+		t.Errorf("overwriting Write allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -65,7 +65,7 @@ func (s *Store) GetWithFailover(key string, q float64) (time.Duration, units.Ene
 	var energy units.Energy
 	for _, chunk := range obj.Chunks {
 		served := false
-		start := int(hashKey(key, chunk.Index) % uint64(len(chunk.Replicas)))
+		start := int(hashKey(key, "", chunk.Index) % uint64(len(chunk.Replicas)))
 		for attempt := 0; attempt < len(chunk.Replicas); attempt++ {
 			rep := chunk.Replicas[(start+attempt)%len(chunk.Replicas)]
 			n := s.byID[rep.NodeID]

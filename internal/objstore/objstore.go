@@ -6,9 +6,10 @@
 package objstore
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -186,11 +187,33 @@ func (s *Store) Node(id string) (*Node, bool) {
 	return n, ok
 }
 
-// hashKey maps a key to a stable placement seed.
-func hashKey(key string, salt int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s#%d", key, salt)
-	return h.Sum64()
+// 64-bit FNV-1a parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashKey maps a key, a node ID (empty for a key-only seed) and a salt to
+// a stable placement seed: 64-bit FNV-1a over key, nodeID, "#" and the
+// decimal salt, the bytes fmt.Fprintf("%s#%d", key+nodeID, salt) feeds
+// it. Every placement and replica choice hashes, so it allocates nothing.
+//
+//dscslint:hotpath
+func hashKey(key, nodeID string, salt int) uint64 {
+	var digits [20]byte
+	h := fnv1a(fnvOffset64, key)
+	h = fnv1a(h, nodeID)
+	h = fnv1a(h, "#")
+	return fnv1a(h, strconv.AppendInt(digits[:0], int64(salt), 10))
+}
+
+// fnv1a folds the bytes of s into the FNV-1a state h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // dscsNodeFor deterministically selects the DSCS-capable node for a key
@@ -203,7 +226,7 @@ func (s *Store) dscsNodeFor(key string) *Node {
 		if n.Kind != DSCSDrive {
 			continue
 		}
-		if score := hashKey(key+n.ID, 0); best == nil || score > bestScore {
+		if score := hashKey(key, n.ID, 0); best == nil || score > bestScore {
 			best, bestScore = n, score
 		}
 	}
@@ -220,9 +243,9 @@ func (s *Store) placement(key string, chunk int, acceleratable bool) []*Node {
 	}
 	all := make([]scored, len(s.nodes))
 	for i, n := range s.nodes {
-		all[i] = scored{n, hashKey(key+n.ID, chunk)}
+		all[i] = scored{n, hashKey(key, n.ID, chunk)}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].score > all[j].score })
+	slices.SortFunc(all, func(a, b scored) int { return cmp.Compare(b.score, a.score) })
 	picked := make([]*Node, 0, s.cfg.Replicas)
 	for _, sc := range all[:s.cfg.Replicas] {
 		picked = append(picked, sc.n)
@@ -353,7 +376,7 @@ func (s *Store) GetAt(key string, q float64) (time.Duration, units.Energy, error
 	var total time.Duration
 	var energy units.Energy
 	for _, chunk := range obj.Chunks {
-		rep := chunk.Replicas[int(hashKey(key, chunk.Index)%uint64(len(chunk.Replicas)))]
+		rep := chunk.Replicas[int(hashKey(key, "", chunk.Index)%uint64(len(chunk.Replicas)))]
 		n := s.byID[rep.NodeID]
 		devLat, devEnergy := n.hostRead(rep.Offset, chunk.Size)
 		energy += devEnergy

@@ -1,6 +1,10 @@
 package objstore
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -211,5 +215,38 @@ func TestDelete(t *testing.T) {
 	s.Delete("gone")
 	if _, ok := s.Lookup("gone"); ok {
 		t.Fatal("deleted object still visible")
+	}
+}
+
+// TestHashKeyMatchesFmt pins the hand-rolled placement hash to the one it
+// replaced: hash/fnv's FNV-1a over fmt.Fprintf("%s#%d", key+nodeID, salt),
+// for random keys and node IDs and for salts at 0, negative and extreme.
+func TestHashKeyMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		b := make([]byte, rng.Intn(24))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	salts := []int{0, -1, 1, 7, -40, math.MaxInt, math.MinInt}
+	for i := 0; i < 2000; i++ {
+		key, nodeID := word(), word()
+		salt := salts[i%len(salts)]
+		if i%2 == 1 {
+			salt = int(rng.Int63()) - math.MaxInt64/2
+		}
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s#%d", key+nodeID, salt)
+		if got, want := hashKey(key, nodeID, salt), h.Sum64(); got != want {
+			t.Fatalf("hashKey(%q, %q, %d) = %#x, fmt reference %#x", key, nodeID, salt, got, want)
+		}
+	}
+}
+
+func TestHashKeyDoesNotAllocate(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { hashKey("input/remote-sensing/7", "dscs-a", -12) }); allocs != 0 {
+		t.Errorf("hashKey allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -206,8 +206,10 @@ func (d *DSAPlatform) Price() units.Dollars { return d.Cost }
 
 // Infer implements Compute by compiling and simulating, with memoization
 // and singleflight (compilation is deterministic for a graph/batch/config
-// triple, and the compiled program itself is shared process-wide through
-// the compiler's program cache). Safe for concurrent use.
+// triple). Only the simulated result is kept: the compiled program is
+// dropped once simulated, since a compile costs tens of microseconds and
+// a retained program costs its whole instruction stream. Safe for
+// concurrent use.
 //
 //dscslint:hotpath
 func (d *DSAPlatform) Infer(g *model.Graph, batch int) (time.Duration, units.Energy, error) {
@@ -225,7 +227,7 @@ func (d *DSAPlatform) Infer(g *model.Graph, batch int) (time.Duration, units.Ene
 	d.mu.Unlock()
 
 	c.once.Do(func() {
-		prog, err := compiler.CompileCached(g, batch, d.Config, compiler.Options{})
+		prog, err := compiler.Compile(g, batch, d.Config, compiler.Options{})
 		if err != nil {
 			c.err = err
 			return

@@ -68,7 +68,7 @@ type Options struct {
 	// pool suspends entirely and the next burst pays a cold start).
 	MinWorkers int
 	// ColdStart is the warming penalty a suspended slot pays before it
-	// can dispatch — the container pull plus the CompileCached miss.
+	// can dispatch — the container pull plus the program compile.
 	ColdStart time.Duration
 	// IdleLinger is how long a warm worker stays idle before it may
 	// suspend (only while capacity exceeds the autoscaler's target).

@@ -20,7 +20,7 @@
 // suspends when three things hold at its deadline: the pool has surplus
 // (warm+warming > desired), the slot is genuinely idle (warm > busy),
 // and the floor stays intact (warm > Min). Warming pays the configured
-// cold-start penalty — the container pull plus the CompileCached miss —
+// cold-start penalty — the container pull plus the program compile —
 // charged through the caller's clock, so the sims and the live engine
 // price it identically.
 

@@ -90,9 +90,6 @@ func New(cfg Config) (*Drive, error) {
 // Config returns the drive configuration.
 func (d *Drive) Config() Config { return d.cfg }
 
-// Array exposes the flash array (the CSD's P2P path reads it directly).
-func (d *Drive) Array() *flash.Array { return d.array }
-
 // pages returns the page count spanning n bytes.
 func (d *Drive) pages(n units.Bytes) int64 {
 	ps := d.cfg.Geometry.PageSize

@@ -5,6 +5,9 @@
 package workload
 
 import (
+	"slices"
+	"sync"
+
 	"dscs/internal/model"
 	"dscs/internal/units"
 )
@@ -39,17 +42,26 @@ func prepGraph(name string, rawElems, tensorElems int64) *model.Graph {
 	return g
 }
 
-// Suite returns the eight benchmarks in the paper's Table 1 order.
-func Suite() []*Benchmark {
+// suite builds the Table 1 benchmarks, their model graphs included, once
+// per process.
+var suite = sync.OnceValue(func() []*Benchmark {
 	return []*Benchmark{
 		CreditRisk(), AssetDamage(), PPEDetection(), Chatbot(),
 		Translation(), Clinical(), Moderation(), RemoteSensing(),
 	}
-}
+})
 
-// BySlug returns the named benchmark, or nil.
+// Suite returns the eight benchmarks in the paper's Table 1 order. The
+// slice is fresh but the benchmarks are shared, read-only instances: a
+// caller that needs a variant copies the struct first
+// (changed := *b) and edits the copy. The constructors (CreditRisk, ...)
+// build private instances.
+func Suite() []*Benchmark { return slices.Clone(suite()) }
+
+// BySlug returns the named benchmark, or nil. The result is the shared,
+// read-only instance Suite holds; BySlug builds and allocates nothing.
 func BySlug(slug string) *Benchmark {
-	for _, b := range Suite() {
+	for _, b := range suite() {
 		if b.Slug == slug {
 			return b
 		}

@@ -95,3 +95,16 @@ func TestPreprocScalesWithPayload(t *testing.T) {
 		t.Errorf("PPE preproc (%d) should dwarf chatbot preproc (%d)", ppe, chat)
 	}
 }
+
+// TestBySlugSharesOneBuild pins the build-once suite: BySlug hands out the
+// instances Suite holds and builds nothing, so it allocates nothing.
+func TestBySlugSharesOneBuild(t *testing.T) {
+	for _, b := range Suite() {
+		if BySlug(b.Slug) != b {
+			t.Errorf("BySlug(%q) is not the Suite instance", b.Slug)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { BySlug("remote-sensing") }); allocs != 0 {
+		t.Errorf("BySlug allocates %.1f objects per call, want 0", allocs)
+	}
+}
